@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Census of achievable gaps between the first two output spikes.
 
-Exhaustively explores the bounded computation tree of a system at
-increasing depths and prints which first-intervals occur.  On the
-shipped 3-neuron system the census is {2, ..., depth-1} at every
-horizon: every gap of at least two steps is achievable and a gap of
-one step never is, so the generated set fills out the naturals minus 1
-as the horizon grows."""
+Builds the bounded computation tree of a system once per depth, for
+increasing depths, and prints its path count and which first-intervals
+occur on its paths.  On the shipped 3-neuron system the census is
+{2, ..., depth-1} at every horizon: every gap of at least two steps is
+achievable and a gap of one step never is, so the generated set fills
+out the naturals minus 1 as the horizon grows."""
 
 import argparse
 import pathlib
@@ -33,8 +33,8 @@ def main() -> None:
 
     previous: set[int] = set()
     for depth in range(2, args.max_depth + 1):
-        census = achievable_first_intervals(sys_, depth, mode=args.mode)
         tree = run_trace(sys_, depth, policy="exhaustive", mode=args.mode)
+        census = achievable_first_intervals(tree)
         gained = sorted(census - previous)
         print(
             f"depth {depth:2d}: paths={tree.leaf_count():5d} "

@@ -17,7 +17,7 @@ import json
 import sys as _sys
 from dataclasses import dataclass
 
-from .engine import Trace, TraceTree, achievable_first_intervals, run_trace
+from .engine import MODES, Trace, TraceTree, achievable_first_intervals, run_trace
 from .matrices import (
     IntMatrix,
     augmented_matrix,
@@ -33,7 +33,6 @@ from .reachability import ReachabilityCertificate, is_reachable, reach_between
 __all__ = ["CliConfig", "main"]
 
 FORMATS = ("text", "json")
-MODES = ("standard", "paper-trace")
 POLICIES = ("first", "random", "exhaustive")
 
 
@@ -185,9 +184,9 @@ def _print_trace_text(trace: Trace) -> None:
         print(f"first interval: {trace.first_interval}")
 
 
-def _tree_summary(sys: SNPSystem, tree: TraceTree, cfg: CliConfig):
-    finals = sorted({leaf.state.config for _records, leaf in tree.paths()})
-    intervals = sorted(achievable_first_intervals(sys, cfg.steps, cfg.mode))
+def _tree_summary(tree: TraceTree):
+    finals = sorted({leaf.state.config for leaf in tree.leaves()})
+    intervals = sorted(achievable_first_intervals(tree))
     return {
         "depth": tree.depth,
         "paths": tree.leaf_count(),
@@ -203,7 +202,7 @@ def cmd_simulate(cfg: CliConfig) -> int:
         sys, cfg.steps, policy=cfg.policy, mode=cfg.mode, seed=cfg.seed
     )
     if cfg.policy == "exhaustive":
-        summary = _tree_summary(sys, result, cfg)
+        summary = _tree_summary(result)
         if cfg.fmt == "json":
             _emit_json(summary)
         else:

@@ -59,7 +59,6 @@ __all__ = [
     "rule_status",
     "enumerate_spiking_vectors",
     "is_valid_spiking_vector",
-    "net_gain",
     "step_no_delay",
     "step_with_delay_v1",
     "step_with_delay_v2",
@@ -181,10 +180,6 @@ def is_valid_spiking_vector(
 
 
 # --- step formulas -----------------------------------------------------------
-
-
-def net_gain(Sp: tuple[int, ...], M: IntMatrix) -> tuple[int, ...]:
-    return M.vecmat(Sp)
 
 
 def step_no_delay(
@@ -540,67 +535,77 @@ def run_trace(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeNode:
+    """A distinct state at its step, shared by every path reaching it."""
+
     state: SimState
-    halted: bool
     children: tuple[tuple[StepRecord, "TreeNode"], ...]
 
 
 @dataclass(frozen=True)
 class TraceTree:
+    """The bounded computation tree as a DAG: levels[k] holds its distinct
+    nodes at step k, each root-to-leaf walk is one computation."""
+
     mode: str
     root: TreeNode
     depth: int
+    levels: tuple[tuple[TreeNode, ...], ...]
 
-    def paths(self):
-        """Yield every root-to-leaf record sequence."""
-
-        def walk(node, prefix):
-            if not node.children:
-                yield prefix, node
-                return
-            for record, child in node.children:
-                yield from walk(child, prefix + [record])
-
-        yield from walk(self.root, [])
+    def leaves(self) -> list[TreeNode]:
+        return [node for level in self.levels for node in level if not node.children]
 
     def leaf_count(self) -> int:
-        return sum(1 for _ in self.paths())
+        """Number of root-to-leaf paths, counted bottom-up."""
+        paths: dict[TreeNode, int] = {}
+        for level in reversed(self.levels):
+            for node in level:
+                paths[node] = sum(paths[c] for _r, c in node.children) or 1
+        return paths[self.root]
 
 
 def _run_tree(sys: SNPSystem, depth: int, mode: str) -> TraceTree:
+    """Expand level by level, each distinct state once (SimState carries k,
+    so only equal states of one step merge), then build nodes bottom-up."""
     env = _EnvColumn(sys)
     mats = (spiking_matrix(sys), production_matrix(sys), consumption_matrix(sys))
+    idle = [(0,) * sys.rule_count]
+    steps = []  # per step: state -> [(record, next state), ...], () when halted
+    frontier = dict.fromkeys([initial_state(sys)])
+    for _ in range(depth):
+        edges = dict.fromkeys(frontier, ())
+        for state in frontier:
+            if not _is_halted(sys, state, mode):
+                vectors = enumerate_spiking_vectors(sys, state.config, state.st) or idle
+                edges[state] = [_make_record(sys, state, sp, mode, env, mats) for sp in vectors]
+        steps.append(edges)
+        frontier = dict.fromkeys(c for out in edges.values() for _r, c in out)
+    steps.append(dict.fromkeys(frontier, ()))  # the states at `depth` are leaves
+    levels, nodes = [], {}
+    for edges in reversed(steps):
+        nodes = {s: TreeNode(s, tuple((r, nodes[c]) for r, c in out)) for s, out in edges.items()}
+        levels.insert(0, tuple(nodes.values()))
+    return TraceTree(mode=mode, root=levels[0][0], depth=depth, levels=tuple(levels))
 
-    def expand(state: SimState, left: int) -> TreeNode:
-        if left == 0:
-            return TreeNode(state, _is_halted(sys, state, mode), ())
-        if _is_halted(sys, state, mode):
-            return TreeNode(state, True, ())
-        candidates = enumerate_spiking_vectors(sys, state.config, state.st)
-        if not candidates:
-            candidates = [(0,) * sys.rule_count]  # idle
-        children = []
-        for sp in candidates:
-            record, nxt = _make_record(sys, state, sp, mode, env, mats)
-            children.append((record, expand(nxt, left - 1)))
-        return TreeNode(state, False, tuple(children))
 
-    return TraceTree(mode=mode, root=expand(initial_state(sys), depth), depth=depth)
-
-
-def achievable_first_intervals(
-    sys: SNPSystem, depth: int, mode: str = "standard"
-) -> set[int]:
-    """Intervals between the first two emissions over every computation
-    path of length <= depth."""
-    tree = run_trace(sys, depth, policy="exhaustive", mode=mode)
+def achievable_first_intervals(tree: TraceTree) -> set[int]:
+    """Intervals between the first two emissions over every path of the tree,
+    in one pass that carries to each node the steps at which the paths into
+    it first emitted (None: not yet); a path leaves at its second emission."""
     out: set[int] = set()
-    for records, _leaf in tree.paths():
-        emission_steps = [r.k for r in records if r.emitted > 0]
-        if len(emission_steps) >= 2:
-            out.add(emission_steps[1] - emission_steps[0])
+    firsts: dict[TreeNode, set] = {tree.root: {None}}
+    for level in tree.levels:
+        for node in level:
+            here = firsts.pop(node)
+            for record, child in node.children:
+                into = firsts.setdefault(child, set())
+                if record.emitted <= 0:
+                    into |= here
+                    continue
+                out.update(record.k - first for first in here if first is not None)
+                if None in here:
+                    into.add(record.k)
     return out
 
 

@@ -63,6 +63,7 @@ class Star:
 
 
 RegexAst = Literal | Concat | Union | Star
+MAX_NESTING = 100  # parentheses nested deeper are refused, not recursed into
 
 
 class RegexSyntaxError(ValueError):
@@ -77,6 +78,7 @@ class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.src[self.pos] if self.pos < len(self.src) else None
@@ -133,11 +135,15 @@ class _Parser:
                 return Literal(self.uint())
             return Literal(1)
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING}")
             self.pos += 1
+            self.depth += 1
             node = self.union()
             if self.peek() != ")":
                 self.fail("expected ')'")
             self.pos += 1
+            self.depth -= 1
             return node
         self.fail("expected 'a' or '('" if ch is None else f"unexpected {ch!r}")
 

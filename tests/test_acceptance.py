@@ -197,7 +197,8 @@ def test_acceptance_5_reachability(example1):
 
 
 def test_acceptance_6_generated_set(example1):
-    intervals = achievable_first_intervals(example1, 10)
+    tree = run_trace(example1, 10, policy="exhaustive")
+    intervals = achievable_first_intervals(tree)
     assert intervals == set(range(2, 10))
     assert 1 not in intervals
     assert min(intervals) == 2

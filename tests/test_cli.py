@@ -90,6 +90,17 @@ def test_parse_error_exit_2_with_line_number(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_deeply_nested_guard_exit_2_without_traceback(capsys, tmp_path):
+    deep = tmp_path / "deep.snp"
+    guard = "(" * 300 + "a" + ")" * 300 + "*"
+    deep.write_text(f"neuron a spikes=1\nrule a E={guard} c=1 p=1 d=0\n")
+    code, _, err = run_cli(capsys, "validate", str(deep))
+    assert code == 2
+    assert err.startswith("snpkit: error:")
+    assert "line 2" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "validate", "no-such-file.snp")
     assert code == 2

@@ -5,10 +5,12 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gensys import make_random_system
+from snpkit.cli import main
 from snpkit.engine import (
+    MODES,
     SimState,
     Trace,
     TraceTree,
@@ -19,7 +21,6 @@ from snpkit.engine import (
     formula_step,
     initial_state,
     is_valid_spiking_vector,
-    net_gain,
     operational_step,
     rule_status,
     run_trace,
@@ -93,9 +94,9 @@ def test_is_valid_agrees_with_enumeration(seed):
 
 def test_net_gain_goldens(example1):
     M = spiking_matrix(example1)
-    assert net_gain((1, 0, 1, 1, 0), M) == (0, 0, 1)
-    assert net_gain((0, 1, 1, 0, 1), M) == (-1, 0, 0)
-    assert net_gain((0, 0, 0, 0, 0), M) == (0, 0, 0)
+    assert M.vecmat((1, 0, 1, 1, 0)) == (0, 0, 1)
+    assert M.vecmat((0, 1, 1, 0, 1)) == (-1, 0, 0)
+    assert M.vecmat((0, 0, 0, 0, 0)) == (0, 0, 0)
 
 
 def test_step_no_delay_goldens(example1):
@@ -405,17 +406,75 @@ def test_exhaustive_tree_shape(example1):
     tree = run_trace(example1, 3, policy="exhaustive")
     assert isinstance(tree, TraceTree)
     assert tree.depth == 3
-    for records, leaf in tree.paths():
-        assert len(records) <= 3
-        for r in records:
-            assert sum(r.Sp) >= 1  # no idle steps in a delay-free system
+    assert tree.levels[0] == (tree.root,)
+    assert len(tree.levels) <= 4  # every path has at most 3 records
+    for k, level in enumerate(tree.levels):
+        assert len({node.state for node in level}) == len(level)  # merged
+        for node in level:
+            assert node.state.k == k
+            for r, _child in node.children:
+                assert sum(r.Sp) >= 1  # no idle steps in a delay-free system
     assert tree.leaf_count() >= 2
 
 
 def test_first_interval_census(example1):
-    got = achievable_first_intervals(example1, 10)
+    got = achievable_first_intervals(run_trace(example1, 10, policy="exhaustive"))
     assert got == set(range(2, 10))
     assert 1 not in got
+
+
+def _reference_paths(sys, depth, mode):
+    """(records, final state) of every computation, expanded path by path
+    with no sharing: the recursive explorer the layered one replaced."""
+    idle = (0,) * sys.rule_count
+
+    def expand(state, records):
+        vectors = enumerate_spiking_vectors(sys, state.config, state.st)
+        halted = not vectors and all(state.st) and all(q is None for q in state.pending)
+        if state.k == depth or halted:
+            yield records, state
+            return
+        for sp in vectors or [idle]:
+            record, nxt = formula_step(sys, state, sp, mode)
+            yield from expand(nxt, records + [record])
+
+    yield from expand(initial_state(sys), [])
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    depth=st.integers(min_value=0, max_value=6),
+    mode=st.sampled_from(MODES),
+)
+@settings(max_examples=150, deadline=None)
+def test_layered_tree_matches_path_by_path_reference(seed, depth, mode):
+    sys = make_random_system(
+        random.Random(seed), max_rules=8, allow_delay=True, with_out=True
+    )
+    tree = run_trace(sys, depth, policy="exhaustive", mode=mode)
+    assume(tree.leaf_count() <= 5000)  # keeps the unshared reference cheap
+    paths = list(_reference_paths(sys, depth, mode))
+    assert tree.leaf_count() == len(paths)
+    # equal final states, hence equal final configs
+    assert {leaf.state for leaf in tree.leaves()} == {final for _r, final in paths}
+    intervals = set()
+    for records, _final in paths:
+        emission_steps = [r.k for r in records if r.emitted > 0]
+        if len(emission_steps) >= 2:
+            intervals.add(emission_steps[1] - emission_steps[0])
+    assert achievable_first_intervals(tree) == intervals
+
+
+def test_exhaustive_depth_not_bounded_by_recursion_limit(capsys, tmp_path):
+    ring = tmp_path / "ring.snp"
+    ring.write_text(
+        "neuron a spikes=1\nneuron b spikes=0\n"
+        "rule a E=a c=1 p=1 d=0\nrule b E=a c=1 p=1 d=0\n"
+        "syn a b\nsyn b a\n"
+    )
+    code = main(["simulate", str(ring), "--steps", "5000", "--policy", "exhaustive"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "paths to depth 5000: 1"
 
 
 # --- property suites --------------------------------------------------------------------

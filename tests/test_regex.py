@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from snpkit.regex import (
+    MAX_NESTING,
     Concat,
     Literal,
     RegexSyntaxError,
@@ -86,6 +87,17 @@ def test_parse_errors_carry_offsets(src, offset):
     with pytest.raises(RegexSyntaxError) as exc:
         parse_regex(src)
     assert exc.value.offset == offset
+
+
+def test_nesting_deeper_than_limit_is_a_syntax_error():
+    def nested(depth):
+        return "(" * depth + "a" + ")" * depth + "*"
+
+    assert parse_regex(nested(MAX_NESTING)) == Star(Literal(1))
+    assert parse_regex(nested(MAX_NESTING // 2) * 3) == parse_regex("a*a*a*")
+    with pytest.raises(RegexSyntaxError) as exc:
+        parse_regex(nested(MAX_NESTING + 1))
+    assert exc.value.offset == MAX_NESTING
 
 
 def test_literal_merge_only_for_adjacent_unstarred():
