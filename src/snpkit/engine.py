@@ -543,10 +543,11 @@ class TreeNode:
     children: tuple[tuple[StepRecord, "TreeNode"], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceTree:
     """The bounded computation tree as a DAG: levels[k] holds its distinct
-    nodes at step k, each root-to-leaf walk is one computation."""
+    nodes at step k, each root-to-leaf walk is one computation.  Like its
+    nodes, a tree compares by identity."""
 
     mode: str
     root: TreeNode
@@ -571,21 +572,28 @@ def _run_tree(sys: SNPSystem, depth: int, mode: str) -> TraceTree:
     env = _EnvColumn(sys)
     mats = (spiking_matrix(sys), production_matrix(sys), consumption_matrix(sys))
     idle = [(0,) * sys.rule_count]
-    steps = []  # per step: state -> [(record, next state), ...], () when halted
+    steps = []  # per step: state -> [(record, next state), ...], () for a leaf
     frontier = dict.fromkeys([initial_state(sys)])
-    for _ in range(depth):
+    while frontier and len(steps) < depth:  # frontier empties once all paths halt
         edges = dict.fromkeys(frontier, ())
         for state in frontier:
-            if not _is_halted(sys, state, mode):
-                vectors = enumerate_spiking_vectors(sys, state.config, state.st) or idle
-                edges[state] = [_make_record(sys, state, sp, mode, env, mats) for sp in vectors]
+            if _is_halted(sys, state, mode):
+                continue
+            sps = enumerate_spiking_vectors(sys, state.config, state.st) or idle
+            edges[state] = [_make_record(sys, state, sp, mode, env, mats) for sp in sps]
         steps.append(edges)
         frontier = dict.fromkeys(c for out in edges.values() for _r, c in out)
-    steps.append(dict.fromkeys(frontier, ()))  # the states at `depth` are leaves
-    levels, nodes = [], {}
+    if frontier:
+        steps.append(dict.fromkeys(frontier, ()))  # the states at `depth` are leaves
+    levels, below = [], {}
     for edges in reversed(steps):
-        nodes = {s: TreeNode(s, tuple((r, nodes[c]) for r, c in out)) for s, out in edges.items()}
-        levels.insert(0, tuple(nodes.values()))
+        nodes = {
+            s: TreeNode(s, tuple((r, below[c]) for r, c in out))
+            for s, out in edges.items()
+        }
+        levels.append(tuple(nodes.values()))
+        below = nodes
+    levels.reverse()
     return TraceTree(mode=mode, root=levels[0][0], depth=depth, levels=tuple(levels))
 
 

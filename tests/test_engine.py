@@ -477,6 +477,23 @@ def test_exhaustive_depth_not_bounded_by_recursion_limit(capsys, tmp_path):
     assert capsys.readouterr().out.splitlines()[0] == "paths to depth 5000: 1"
 
 
+def test_exhaustive_stops_once_every_path_has_halted(
+    capsys, tmp_path, example3, example3_text
+):
+    # example3 halts at k=4 in standard mode: a far larger budget costs nothing
+    tree = run_trace(example3, 10**6, policy="exhaustive")
+    assert tree.depth == 10**6
+    assert [[node.state.k for node in level] for level in tree.levels] == [
+        [0], [1], [2], [3], [4]
+    ]
+    assert tree.leaves() == list(tree.levels[4])
+    path = tmp_path / "example3.snp"
+    path.write_text(example3_text)
+    code = main(["simulate", str(path), "--steps", "1000000", "--policy", "exhaustive"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "paths to depth 1000000: 1"
+
+
 # --- property suites --------------------------------------------------------------------
 
 
