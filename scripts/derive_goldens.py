@@ -81,6 +81,13 @@ def main() -> None:
     for s in sum_vector_solutions(M, two_neuron_loop.initial, (2, 1, 2), 2):
         print(f"s={s} sum={sum(s)}")
 
+    banner("many-rule candidates, target (1,0,1), k_max=5")
+    many_rules = parse_system((SYSTEMS / "many_rules.snp").read_text())
+    cands = sum_vector_solutions(spiking_matrix(many_rules), many_rules.initial, (1, 0, 1), 5)
+    print(f"count: {len(cands)}")
+    print(f"first: {cands[0]}")
+    print(f"last: {cands[-1]}")
+
     banner("decompositions")
     for s_bar in ((2, 0, 2, 1, 1), (2, 0, 2, 3, 0), (1, 1, 3, 2, 1)):
         cert = decompose_sum_vector(two_neuron_loop, two_neuron_loop.initial, s_bar)

@@ -475,12 +475,12 @@ def _terminal_record(sys: SNPSystem, state: SimState) -> StepRecord:
     )
 
 
-def _is_halted(sys: SNPSystem, state: SimState, mode: str) -> bool:
-    if any(b == 0 for b in state.st):
+def _is_halted(state: SimState, mode: str, vectors: list[tuple[int, ...]]) -> bool:
+    """Halted: no spiking vector (`vectors` as enumerated at this state), no
+    closed neuron and, in standard mode, no queued production."""
+    if vectors or any(b == 0 for b in state.st):
         return False
-    if mode == "standard" and any(q is not None for q in state.pending):
-        return False
-    return not enumerate_spiking_vectors(sys, state.config, state.st)
+    return mode != "standard" or all(q is None for q in state.pending)
 
 
 def run_trace(
@@ -511,20 +511,17 @@ def run_trace(
     mats = (spiking_matrix(sys), production_matrix(sys), consumption_matrix(sys))
     state = initial_state(sys)
     records: list[StepRecord] = []
-    halted = False
-    for _ in range(steps):
-        if _is_halted(sys, state, mode):
-            halted = True
-            break
+    while True:
         candidates = enumerate_spiking_vectors(sys, state.config, state.st)
+        halted = _is_halted(state, mode, candidates)
+        if halted or len(records) >= steps:
+            break
         if candidates:
             sp = candidates[0] if policy == "first" else rng.choice(candidates)
         else:
             sp = (0,) * sys.rule_count  # idle: delays keep counting down
         record, state = _make_record(sys, state, sp, mode, env, mats)
         records.append(record)
-    if not halted:
-        halted = _is_halted(sys, state, mode)
     records.append(_terminal_record(sys, state))
     return Trace(
         mode=mode,
@@ -577,10 +574,11 @@ def _run_tree(sys: SNPSystem, depth: int, mode: str) -> TraceTree:
     while frontier and len(steps) < depth:  # frontier empties once all paths halt
         edges = dict.fromkeys(frontier, ())
         for state in frontier:
-            if _is_halted(sys, state, mode):
-                continue
-            sps = enumerate_spiking_vectors(sys, state.config, state.st) or idle
-            edges[state] = [_make_record(sys, state, sp, mode, env, mats) for sp in sps]
+            sps = enumerate_spiking_vectors(sys, state.config, state.st)
+            if not _is_halted(state, mode, sps):
+                edges[state] = [
+                    _make_record(sys, state, sp, mode, env, mats) for sp in sps or idle
+                ]
         steps.append(edges)
         frontier = dict.fromkeys(c for out in edges.values() for _r, c in out)
     if frontier:

@@ -3,15 +3,16 @@
 A target C is k-reachable iff C - C(0) = s . M for some s that splits
 into k valid spiking vectors applied in sequence.  The pipeline:
 
-  1. solve the integer linear system s . M = C - C(0) exactly (rational
-     row reduction; free variables enumerated up to the bound
-     sum(s) <= k_max * m, which any k_max-step path must satisfy);
+  1. solve the integer linear system s . M = C - C(0) exactly: one
+     rational row reduction gives integer pivot rows over the free
+     variables, which a pruned integer-only walk enumerates up to the
+     bound sum(s) <= k_max * m that any k_max-step path must satisfy;
   2. try to decompose each candidate s, smallest first, by a
      breadth-first search over residuals (full backtracking: the
      residual determines the configuration, so visited residuals prune
      the search and BFS depth gives the fewest steps for that s);
   3. cross-checkable against bfs_oracle, a direct breadth-first
-     exploration of the computuation tree that ignores the algebra.
+     exploration of the computation tree that ignores the algebra.
 
 Delay-free systems only: with delays the per-step gain depends on
 open/closed status, so C - C(0) = s . M no longer characterizes paths.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .engine import (
     Trace,
@@ -37,8 +39,6 @@ from .matrices import IntMatrix, hadamard, spiking_matrix, vec_sub
 from .model import SNPSystem
 
 __all__ = [
-    "SolutionFamily",
-    "solve_family",
     "sum_vector_solutions",
     "TrialRow",
     "CandidateFailure",
@@ -94,96 +94,80 @@ def _rref_parametrize(M: IntMatrix, delta: tuple[int, ...]):
     return pivots, free, exprs
 
 
-def _integer_left_kernel(M: IntMatrix) -> tuple[tuple[int, ...], ...]:
-    """Basis of { v in Z^n : v . M = 0 } by integer row reduction of M
-    while tracking the unimodular transform."""
-    n, m = M.rows, M.cols
-    a = [list(row) for row in M.data]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    row = 0
-    for col in range(m):
-        while True:
-            live = [i for i in range(row, n) if a[i][col] != 0]
-            if not live:
-                break
-            if len(live) == 1:
-                i = live[0]
-                a[row], a[i] = a[i], a[row]
-                u[row], u[i] = u[i], u[row]
-                row += 1
-                break
-            live.sort(key=lambda i: abs(a[i][col]))
-            base, other = live[0], live[1]
-            q = a[other][col] // a[base][col]
-            a[other] = [x - q * y for x, y in zip(a[other], a[base])]
-            u[other] = [x - q * y for x, y in zip(u[other], u[base])]
-    return tuple(tuple(u[i]) for i in range(row, n))
-
-
-@dataclass(frozen=True)
-class SolutionFamily:
-    """All rational solutions of s . M = delta, plus the integer lattice
-    directions, bounded for enumeration."""
-
-    delta: tuple[int, ...]
-    particular: tuple[Fraction, ...] | None  # None: system inconsistent
-    kernel_basis: tuple[tuple[int, ...], ...]
-    bound: int  # max allowed sum(s)
-
-    @property
-    def consistent(self) -> bool:
-        return self.particular is not None
-
-
-def solve_family(M: IntMatrix, delta: tuple[int, ...], bound: int) -> SolutionFamily:
-    parts = _rref_parametrize(M, delta)
-    kernel = _integer_left_kernel(M)
-    if parts is None:
-        return SolutionFamily(delta, None, kernel, bound)
-    pivots, free, exprs = parts
-    particular = [Fraction(0)] * M.rows
-    for col, (const, _coefs) in exprs.items():
-        particular[col] = const
-    return SolutionFamily(delta, tuple(particular), kernel, bound)
-
-
 def _enumerate_nonneg(M: IntMatrix, delta: tuple[int, ...], bound: int):
     """All nonnegative integer s with s . M = delta and sum(s) <= bound.
 
-    Any such s has every free coordinate <= bound, so depth-first search
-    over free assignments with a running-sum cutoff is complete."""
+    One exact elimination writes each pivot row in integers as
+    L_c * s_c = N_c - sum_f A_cf * s_f over the free variables f, with
+    L_c > 0 the lcm of the row's denominators.  A depth-first walk then
+    assigns the free variables in turn (each <= bound, as every s_i >= 0)
+    and keeps, in integers only, the residuals r_c = N_c - sum A_cf * s_f
+    over the assigned f and the partial value of D * sum(s), where D is
+    the lcm of the L_c.  A leaf is a solution when every r_c is a
+    nonnegative multiple of L_c and the sum is within bound.
+
+    Two prunes skip only subtrees that hold no solution: a pivot whose
+    unassigned coefficients are all >= 0 can only fall, so r_c < 0 ends
+    the subtree and A_ci > 0 caps the current s_i at r_c // A_ci; and
+    when every unassigned free variable weighs >= 0 in sum(s), the
+    partial sum is a lower bound on it, so the walk stops above bound."""
     parts = _rref_parametrize(M, delta)
     if parts is None:
         return []
-    pivots, free, exprs = parts
+    _pivots, free, exprs = parts
+    width = len(free)
+    lcms, consts, coefs = [], [], []  # per pivot row: L_c, N_c, [A_cf per free f]
+    for const, row in exprs.values():
+        L = lcm(const.denominator, *(x.denominator for x in row.values()))
+        lcms.append(L)
+        consts.append(int(const * L))
+        coefs.append([int(row.get(f, 0) * L) for f in free])
+    # D * sum(s) = start + sum_j weight[j] * s_free[j]
+    D = lcm(*lcms)
+    start = sum(D // L * n for L, n in zip(lcms, consts))
+    weight = [D - sum(D // L * a[j] for L, a in zip(lcms, coefs)) for j in range(width)]
+    limit = D * bound
+    # per depth j: rows whose coefficients on free[j:] are all >= 0, whether
+    # every weight from j on is >= 0, and the nonzero coefficients of free[j]
+    falling = [[c for c, a in enumerate(coefs) if min(a[j:]) >= 0] for j in range(width)]
+    rising = [min(weight[j:]) >= 0 for j in range(width)]
+    columns = [[(c, a[j]) for c, a in enumerate(coefs) if a[j]] for j in range(width)]
+    pivot_cols = list(exprs)
+    values = [0] * width
     out = []
 
-    def emit(assignment: dict[int, int], free_sum: int):
-        s = [0] * M.rows
-        total = free_sum
-        for col, val in assignment.items():
-            s[col] = val
-        for col, (const, coefs) in exprs.items():
-            v = const - sum(c * assignment[f] for f, c in coefs.items())
-            if v.denominator != 1 or v < 0:
-                return
-            s[col] = int(v)
-            total += s[col]
-            if total > bound:
-                return
-        out.append(tuple(s))
-
-    def walk(idx: int, assignment: dict[int, int], free_sum: int):
-        if idx == len(free):
-            emit(assignment, free_sum)
+    def walk(j: int, r: list[int], part: int, free_sum: int):
+        if j == width:
+            if part <= limit and all(x >= 0 and x % L == 0 for x, L in zip(r, lcms)):
+                s = [0] * M.rows
+                for col, v in zip(free, values):
+                    s[col] = v
+                for col, x, L in zip(pivot_cols, r, lcms):
+                    s[col] = x // L
+                out.append(tuple(s))
             return
-        col = free[idx]
-        for v in range(bound - free_sum + 1):
-            assignment[col] = v
-            walk(idx + 1, assignment, free_sum + v)
-        del assignment[col]
+        hi = bound - free_sum
+        for c in falling[j]:
+            if r[c] < 0:
+                return
+            a = coefs[c][j]
+            if a > 0:
+                hi = min(hi, r[c] // a)
+        w = weight[j]
+        if rising[j]:
+            if part > limit:
+                return
+            if w > 0:
+                hi = min(hi, (limit - part) // w)
+        r = list(r)  # the caller's residuals stay as they were
+        for v in range(hi + 1):
+            values[j] = v
+            walk(j + 1, r, part, free_sum + v)
+            for c, a in columns[j]:
+                r[c] -= a
+            part += w
 
-    walk(0, {}, 0)
+    walk(0, consts, start, 0)
     return out
 
 

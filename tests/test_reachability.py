@@ -1,17 +1,23 @@
-"""Reachability: solution families, decomposition, end-to-end decisions.
+"""Reachability: candidate enumeration, decomposition, end-to-end decisions.
 
 Golden values were derived by hand (solving the linear systems and
 walking the decompositions on paper) and are cross-checked here against
 bfs_oracle, which explores the computation tree directly and shares no
-code with the algebraic pipeline.
+code with the algebraic pipeline.  The integer candidate enumeration is
+also checked against the rational walk it replaced, kept below as a
+test-only reference.
 """
 
-from fractions import Fraction
+import random
+from math import comb
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import snpkit.reachability as reachability
+from conftest import SYSTEMS_DIR
 from gensys import make_random_system
 from snpkit.engine import (
     enumerate_spiking_vectors,
@@ -19,15 +25,15 @@ from snpkit.engine import (
     run_trace,
     step_no_delay,
 )
-from snpkit.matrices import spiking_matrix, vec_add, vec_sub
+from snpkit.matrices import IntMatrix, row_rank, spiking_matrix, vec_add, vec_sub
 from snpkit.model import parse_system
 from snpkit.reachability import (
+    _rref_parametrize,
     bfs_oracle,
     decompose_sum_vector,
     is_reachable,
     reach_between,
     reachable_set,
-    solve_family,
     sum_vector_solutions,
     verify_delay_closed_form,
 )
@@ -35,20 +41,23 @@ from snpkit.reachability import (
 C0 = (2, 1, 1)
 
 
-# --- solution families and candidate enumeration ------------------------------
+# --- candidate enumeration -------------------------------------------------------
 
 
 def test_family_for_target_212(example1):
     M = spiking_matrix(example1)
-    fam = solve_family(M, (0, 0, 1), bound=6)
-    assert fam.consistent
-    # particular solution solves s . M = delta exactly
-    assert tuple(sum(p * M.data[i][j] for i, p in enumerate(fam.particular))
-                 for j in range(M.cols)) == (Fraction(0), Fraction(0), Fraction(1))
-    # left kernel: two independent directions for five rules of rank 3
-    assert len(fam.kernel_basis) == 2
-    for v in fam.kernel_basis:
+    delta = (0, 0, 1)
+    cands = sum_vector_solutions(M, C0, vec_add(C0, delta), k_max=3)
+    # every candidate solves s . M = delta exactly
+    for s in cands:
+        assert M.vecmat(s) == delta
+    # differences of candidates lie in the left kernel, which has two
+    # independent directions for five rules of rank 3
+    assert row_rank(M) == 3
+    diffs = [vec_sub(s, cands[0]) for s in cands[1:]]
+    for v in diffs:
         assert M.vecmat(v) == (0, 0, 0)
+    assert row_rank(IntMatrix(len(diffs), M.rows, tuple(diffs))) == 2
 
 
 def test_family_inconsistent():
@@ -61,11 +70,9 @@ rule a E=a c=1 p=1 d=0
 """
     sys = parse_system(text)
     M = spiking_matrix(sys)
-    fam = solve_family(M, (0, 1), bound=3)
-    assert not fam.consistent
     assert sum_vector_solutions(M, (1, 0), (1, 1), k_max=3) == []
     # zero delta stays solvable
-    assert solve_family(M, (0, 0), bound=3).consistent
+    assert (0,) in sum_vector_solutions(M, (1, 0), (1, 0), k_max=3)
 
 
 def test_candidates_for_target_212(example1):
@@ -113,6 +120,126 @@ def test_candidates_reject_bad_lengths(example1):
     M = spiking_matrix(example1)
     with pytest.raises(ValueError):
         sum_vector_solutions(M, (1, 2), (2, 1, 2), k_max=2)
+
+
+def test_many_rule_candidates_golden():
+    """Seven free variables at k_max=5; the count and both ends of the
+    list were taken from the rational reference below."""
+    sys = parse_system((SYSTEMS_DIR / "many_rules.snp").read_text())
+    cands = sum_vector_solutions(spiking_matrix(sys), sys.initial, (1, 0, 1), k_max=5)
+    assert len(cands) == 2200
+    assert cands[0] == (2, 0, 0, 0, 2, 0, 0, 0, 0, 2)
+    assert cands[-1] == (2, 3, 0, 0, 2, 3, 0, 5, 0, 0)
+
+
+def _reference_enumerate_nonneg(M, delta, bound):
+    """The rational walk the integer one replaced: every free assignment
+    with free sum <= bound, each pivot rebuilt from Fractions at the leaf."""
+    parts = _rref_parametrize(M, delta)
+    if parts is None:
+        return []
+    _pivots, free, exprs = parts
+    out = []
+
+    def walk(idx, assignment, free_sum):
+        if idx < len(free):
+            for v in range(bound - free_sum + 1):
+                assignment[free[idx]] = v
+                walk(idx + 1, assignment, free_sum + v)
+            del assignment[free[idx]]
+            return
+        s = [0] * M.rows
+        total = free_sum
+        for col, val in assignment.items():
+            s[col] = val
+        for col, (const, coefs) in exprs.items():
+            v = const - sum(c * assignment[f] for f, c in coefs.items())
+            if v.denominator != 1 or v < 0:
+                return
+            s[col] = int(v)
+            total += s[col]
+            if total > bound:
+                return
+        out.append(tuple(s))
+
+    walk(0, {}, 0)
+    return out
+
+
+def _assert_matches_reference(sys, C_from, C_to, k_max):
+    M = spiking_matrix(sys)
+    found = _reference_enumerate_nonneg(M, vec_sub(C_to, C_from), k_max * M.cols)
+    expected = sorted(set(found), key=lambda s: (sum(s), s))
+    assert sum_vector_solutions(M, C_from, C_to, k_max) == expected
+    cert = reach_between(sys, C_from, C_to, k_max).to_json()
+    with mock.patch.object(reachability, "_enumerate_nonneg", _reference_enumerate_nonneg):
+        assert reach_between(sys, C_from, C_to, k_max).to_json() == cert
+
+
+_SHAPES = {
+    # neuron b is never fed: delta (0, 1) has no rational solution
+    "inconsistent": ("""\
+neuron a spikes=1
+neuron b spikes=0
+rule a E=a c=1 p=1 d=0
+""", (1, 1), 3),
+    # rows 2 and 3 cancel and neuron c has a zero column: rank 2 of 3
+    "rank-deficient": ("""\
+neuron a spikes=2
+neuron b spikes=1
+neuron c spikes=0
+rule a E=a^2 c=2 p=1 d=0
+rule a E=a c=1 p=1 d=0
+rule b E=a c=1 p=1 d=0
+syn a b
+syn b a
+""", (2, 1, 0), 4),
+    # two rules of full rank: no free variable, a single candidate
+    "zero-free": ("""\
+neuron a spikes=1
+neuron b spikes=2
+rule a E=a c=1 p=1 d=0
+rule b E=a^2 c=2 p=1 d=0
+syn a b
+syn b a
+""", (0, 2), 3),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_enumeration_shapes_match_reference(shape):
+    text, target, k_max = _SHAPES[shape]
+    sys = parse_system(text)
+    M = spiking_matrix(sys)
+    parts = _rref_parametrize(M, vec_sub(target, sys.initial))
+    if shape == "inconsistent":
+        assert parts is None
+    elif shape == "rank-deficient":
+        assert row_rank(M) < min(M.rows, M.cols) and parts[1]
+    else:
+        assert parts[1] == []
+    _assert_matches_reference(sys, sys.initial, target, k_max)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.integers(0, 4),
+    st.integers(0, 10**6),
+    st.sampled_from((0, 0, -1, 1, 2)),
+)
+def test_integer_enumeration_matches_fraction_reference(seed, k_max, pick, bump):
+    """Same candidate list and byte-identical certificates as the rational
+    walk, on reachable targets (bump 0) and perturbed ones."""
+    sys = make_random_system(random.Random(seed), max_rules=10, allow_delay=False)
+    M = spiking_matrix(sys)
+    free = len(_rref_parametrize(M, (0,) * M.cols)[1])
+    assume(comb(k_max * M.cols + free, free) <= 20000)  # keeps the reference cheap
+    targets = sorted(reachable_set(sys, k_max))
+    target = list(targets[pick % len(targets)])
+    j = pick % len(target)
+    target[j] = max(0, target[j] + bump)
+    _assert_matches_reference(sys, sys.initial, tuple(target), k_max)
 
 
 # --- decomposition ------------------------------------------------------------
