@@ -60,7 +60,7 @@ __all__ = [
 def _rref_parametrize(M: IntMatrix, delta: tuple[int, ...]):
     """Row-reduce the equations s . M = delta over Q.
 
-    Returns (pivots, free, exprs) where exprs[c] for a pivot column c is
+    Returns (free, exprs) where exprs[c] for a pivot column c is
     (const, {free_col: coef}) meaning s_c = const - sum(coef * s_f), or
     None when the system is inconsistent."""
     n, m = M.rows, M.cols
@@ -91,7 +91,7 @@ def _rref_parametrize(M: IntMatrix, delta: tuple[int, ...]):
     exprs = {}
     for col, r in pivots.items():
         exprs[col] = (aug[r][n], {f: aug[r][f] for f in free if aug[r][f] != 0})
-    return pivots, free, exprs
+    return free, exprs
 
 
 def _enumerate_nonneg(M: IntMatrix, delta: tuple[int, ...], bound: int):
@@ -114,7 +114,7 @@ def _enumerate_nonneg(M: IntMatrix, delta: tuple[int, ...], bound: int):
     parts = _rref_parametrize(M, delta)
     if parts is None:
         return []
-    _pivots, free, exprs = parts
+    free, exprs = parts
     width = len(free)
     lcms, consts, coefs = [], [], []  # per pivot row: L_c, N_c, [A_cf per free f]
     for const, row in exprs.values():
@@ -132,7 +132,6 @@ def _enumerate_nonneg(M: IntMatrix, delta: tuple[int, ...], bound: int):
     falling = [[c for c, a in enumerate(coefs) if min(a[j:]) >= 0] for j in range(width)]
     rising = [min(weight[j:]) >= 0 for j in range(width)]
     columns = [[(c, a[j]) for c, a in enumerate(coefs) if a[j]] for j in range(width)]
-    pivot_cols = list(exprs)
     values = [0] * width
     out = []
 
@@ -142,7 +141,7 @@ def _enumerate_nonneg(M: IntMatrix, delta: tuple[int, ...], bound: int):
                 s = [0] * M.rows
                 for col, v in zip(free, values):
                     s[col] = v
-                for col, x, L in zip(pivot_cols, r, lcms):
+                for col, x, L in zip(exprs, r, lcms):
                     s[col] = x // L
                 out.append(tuple(s))
             return

@@ -138,7 +138,7 @@ def _reference_enumerate_nonneg(M, delta, bound):
     parts = _rref_parametrize(M, delta)
     if parts is None:
         return []
-    _pivots, free, exprs = parts
+    free, exprs = parts
     out = []
 
     def walk(idx, assignment, free_sum):
@@ -215,9 +215,9 @@ def test_enumeration_shapes_match_reference(shape):
     if shape == "inconsistent":
         assert parts is None
     elif shape == "rank-deficient":
-        assert row_rank(M) < min(M.rows, M.cols) and parts[1]
+        assert row_rank(M) < min(M.rows, M.cols) and parts[0]
     else:
-        assert parts[1] == []
+        assert parts[0] == []
     _assert_matches_reference(sys, sys.initial, target, k_max)
 
 
@@ -233,7 +233,7 @@ def test_integer_enumeration_matches_fraction_reference(seed, k_max, pick, bump)
     walk, on reachable targets (bump 0) and perturbed ones."""
     sys = make_random_system(random.Random(seed), max_rules=10, allow_delay=False)
     M = spiking_matrix(sys)
-    free = len(_rref_parametrize(M, (0,) * M.cols)[1])
+    free = len(_rref_parametrize(M, (0,) * M.cols)[0])
     assume(comb(k_max * M.cols + free, free) <= 20000)  # keeps the reference cheap
     targets = sorted(reachable_set(sys, k_max))
     target = list(targets[pick % len(targets)])
