@@ -5,7 +5,9 @@ matrices (the five matrix forms), simulate (trace or bounded tree),
 analyze (structural report), reach (configuration reachability).
 
 Exit codes: 0 success / target reachable; 1 validation errors found /
-target not reachable; 2 usage errors, unreadable or malformed input.
+target not reachable; 2 usage errors, unreadable or malformed input, or a
+reach search deeper than Python's recursion limit.  Flag errors are
+reported before the system file is read.
 Output is byte-deterministic for identical invocations (random policy
 requires an explicit seed for exactly this reason).
 """
@@ -15,9 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
-from .engine import MODES, Trace, TraceTree, achievable_first_intervals, run_trace
+from .engine import MODES, POLICIES, Trace, TraceTree, achievable_first_intervals, run_trace
 from .matrices import (
     IntMatrix,
     augmented_matrix,
@@ -27,13 +29,12 @@ from .matrices import (
     struc_matrix,
     structural_report,
 )
-from .model import SNPSystem, SystemParseError, parse_system, validate
+from .model import SNPSystem, SystemParseError, ValidationReport, parse_system, validate
 from .reachability import ReachabilityCertificate, is_reachable, reach_between
 
-__all__ = ["CliConfig", "main"]
+__all__ = ["main"]
 
 FORMATS = ("text", "json")
-POLICIES = ("first", "random", "exhaustive")
 
 
 class UsageError(Exception):
@@ -42,40 +43,6 @@ class UsageError(Exception):
 
 class ValidationFailure(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated flag set for one invocation."""
-
-    subcommand: str
-    path: str
-    fmt: str = "text"
-    mode: str = "standard"
-    policy: str = "first"
-    seed: int | None = None
-    steps: int = 10
-    k_max: int = 4
-    v_max: int | None = None
-    target: tuple[int, ...] | None = None
-    from_config: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.fmt not in FORMATS:
-            raise UsageError(f"format must be one of {FORMATS}")
-        if self.mode not in MODES:
-            raise UsageError(f"mode must be one of {MODES}")
-        if self.policy not in POLICIES:
-            raise UsageError(f"policy must be one of {POLICIES}")
-        if self.policy == "random" and self.seed is None:
-            raise UsageError("policy 'random' requires --seed")
-        if self.policy != "random" and self.seed is not None:
-            raise UsageError("--seed only makes sense with --policy random")
-        for label, value in (("steps", self.steps), ("kmax", self.k_max)):
-            if value < 0:
-                raise UsageError(f"--{label} must be nonnegative")
-        if self.v_max is not None and self.v_max < 0:
-            raise UsageError("--vmax must be nonnegative")
 
 
 def _config_flag(text: str, flag: str) -> tuple[int, ...]:
@@ -90,22 +57,42 @@ def _config_flag(text: str, flag: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_flags(args: argparse.Namespace) -> None:
+    """The flag rules argparse cannot express; parses --target and --from
+    in place.  Runs before the system file is read."""
+    if args.subcommand == "reach":
+        args.target = _config_flag(args.target, "target")
+        if args.from_config is not None:
+            args.from_config = _config_flag(args.from_config, "from")
+    if args.subcommand == "simulate":
+        if args.policy == "random" and args.seed is None:
+            raise UsageError("policy 'random' requires --seed")
+        if args.policy != "random" and args.seed is not None:
+            raise UsageError("--seed only makes sense with --policy random")
+    for flag in ("steps", "kmax", "vmax"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise UsageError(f"--{flag} must be nonnegative")
+
+
 def _load(path: str) -> SNPSystem:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
-    sys = parse_system(text)  # SystemParseError carries the line number
-    return sys
+    return parse_system(text)  # SystemParseError carries the line number
+
+
+def _print_entries(path: str, report: ValidationReport, file=None) -> None:
+    for e in report.entries:
+        print(f"{path}: {e.severity} {e.code} at {e.location}: {e.message}", file=file)
 
 
 def _require_valid(sys: SNPSystem, path: str):
     report = validate(sys)
     if not report.ok:
-        for e in report.entries:
-            print(f"{path}: {e.severity} {e.code} at {e.location}: {e.message}",
-                  file=_sys.stderr)
+        _print_entries(path, report, file=_sys.stderr)
         raise ValidationFailure(path)
 
 
@@ -116,30 +103,16 @@ def _emit_json(blob) -> None:
 # --- subcommands ---------------------------------------------------------------
 
 
-def cmd_validate(cfg: CliConfig) -> int:
-    sys = _load(cfg.path)
+def cmd_validate(args: argparse.Namespace) -> int:
+    sys = _load(args.path)
     report = validate(sys)
-    if cfg.fmt == "json":
-        _emit_json(
-            {
-                "ok": report.ok,
-                "problems": [
-                    {
-                        "severity": e.severity,
-                        "code": e.code,
-                        "location": e.location,
-                        "message": e.message,
-                    }
-                    for e in report.entries
-                ],
-            }
-        )
+    if args.format == "json":
+        _emit_json({"ok": report.ok, "problems": [asdict(e) for e in report.entries]})
     else:
         if report.ok:
-            print(f"{cfg.path}: ok "
+            print(f"{args.path}: ok "
                   f"({sys.neuron_count} neurons, {sys.rule_count} rules)")
-        for e in report.entries:
-            print(f"{cfg.path}: {e.severity} {e.code} at {e.location}: {e.message}")
+        _print_entries(args.path, report)
     return 0 if report.ok else 1
 
 
@@ -153,11 +126,11 @@ def _matrix_blocks(sys: SNPSystem) -> list[tuple[str, IntMatrix | None]]:
     ]
 
 
-def cmd_matrices(cfg: CliConfig) -> int:
-    sys = _load(cfg.path)
-    _require_valid(sys, cfg.path)
+def cmd_matrices(args: argparse.Namespace) -> int:
+    sys = _load(args.path)
+    _require_valid(sys, args.path)
     blocks = _matrix_blocks(sys)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json(
             {name: (mat.to_json_dict() if mat else None) for name, mat in blocks}
         )
@@ -195,15 +168,15 @@ def _tree_summary(tree: TraceTree):
     }
 
 
-def cmd_simulate(cfg: CliConfig) -> int:
-    sys = _load(cfg.path)
-    _require_valid(sys, cfg.path)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    sys = _load(args.path)
+    _require_valid(sys, args.path)
     result = run_trace(
-        sys, cfg.steps, policy=cfg.policy, mode=cfg.mode, seed=cfg.seed
+        sys, args.steps, policy=args.policy, mode=args.mode, seed=args.seed
     )
-    if cfg.policy == "exhaustive":
+    if args.policy == "exhaustive":
         summary = _tree_summary(result)
-        if cfg.fmt == "json":
+        if args.format == "json":
             _emit_json(summary)
         else:
             print(f"paths to depth {summary['depth']}: {summary['paths']}")
@@ -219,29 +192,19 @@ def cmd_simulate(cfg: CliConfig) -> int:
                 )
             )
         return 0
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(result.to_json_lines())
     else:
         _print_trace_text(result)
     return 0
 
 
-def cmd_analyze(cfg: CliConfig) -> int:
-    sys = _load(cfg.path)
-    _require_valid(sys, cfg.path)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    sys = _load(args.path)
+    _require_valid(sys, args.path)
     rep = structural_report(sys)
-    if cfg.fmt == "json":
-        _emit_json(
-            {
-                "row_negative_counts": list(rep.row_negative_counts),
-                "col_negative_counts": list(rep.col_negative_counts),
-                "inferred_output_neurons": list(rep.inferred_output_neurons),
-                "out_degree": list(rep.out_degree),
-                "struc_rank": rep.struc_rank,
-                "rank_cycle_hint": rep.rank_cycle_hint,
-                "dfs_has_cycle": rep.dfs_has_cycle,
-            }
-        )
+    if args.format == "json":
+        _emit_json(asdict(rep))
     else:
         print(f"row negative counts: {rep.row_negative_counts}")
         print(f"col negative counts: {rep.col_negative_counts}")
@@ -275,29 +238,31 @@ def _print_certificate_text(cert: ReachabilityCertificate) -> None:
             )
 
 
-def cmd_reach(cfg: CliConfig) -> int:
-    sys = _load(cfg.path)
-    _require_valid(sys, cfg.path)
-    if len(cfg.target) != sys.neuron_count:
-        raise UsageError(
-            f"--target has {len(cfg.target)} entries, system has "
-            f"{sys.neuron_count} neurons"
-        )
+def cmd_reach(args: argparse.Namespace) -> int:
+    sys = _load(args.path)
+    _require_valid(sys, args.path)
+    for flag, config in (("target", args.target), ("from", args.from_config)):
+        if config is not None and len(config) != sys.neuron_count:
+            raise UsageError(
+                f"--{flag} has {len(config)} entries, system has "
+                f"{sys.neuron_count} neurons"
+            )
     try:
-        if cfg.from_config is not None:
-            if len(cfg.from_config) != sys.neuron_count:
-                raise UsageError(
-                    f"--from has {len(cfg.from_config)} entries, system has "
-                    f"{sys.neuron_count} neurons"
-                )
-            bound = cfg.v_max if cfg.v_max is not None else cfg.k_max
-            cert = reach_between(sys, cfg.from_config, cfg.target, bound)
+        if args.from_config is None:
+            cert = is_reachable(sys, args.target, args.kmax)
         else:
-            cert = is_reachable(sys, cfg.target, cfg.k_max)
+            bound = args.kmax if args.vmax is None else args.vmax
+            cert = reach_between(sys, args.from_config, args.target, bound)
     except ValueError as exc:
         # delayed systems have no sum-vector characterization
         raise UsageError(str(exc)) from exc
-    if cfg.fmt == "json":
+    except RecursionError as exc:
+        # the candidate walk recurses once per free variable
+        raise UsageError(
+            "too many free variables for the sum-vector search "
+            "(recursion limit exceeded)"
+        ) from exc
+    if args.format == "json":
         _emit_json(cert.to_json_dict())
     else:
         _print_certificate_text(cert)
@@ -349,24 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(ns: argparse.Namespace) -> CliConfig:
-    kwargs = {
-        "subcommand": ns.subcommand,
-        "path": ns.path,
-        "fmt": ns.format,
-    }
-    if ns.subcommand == "simulate":
-        kwargs.update(
-            mode=ns.mode, policy=ns.policy, seed=ns.seed, steps=ns.steps
-        )
-    if ns.subcommand == "reach":
-        kwargs.update(k_max=ns.kmax, v_max=ns.vmax)
-        kwargs["target"] = _config_flag(ns.target, "target")
-        if ns.from_config is not None:
-            kwargs["from_config"] = _config_flag(ns.from_config, "from")
-    return CliConfig(**kwargs)
-
-
 _COMMANDS = {
     "validate": cmd_validate,
     "matrices": cmd_matrices,
@@ -378,15 +325,15 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
+    args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(ns)
-        return _COMMANDS[cfg.subcommand](cfg)
+        _check_flags(args)
+        return _COMMANDS[args.subcommand](args)
     except UsageError as exc:
         print(f"snpkit: error: {exc}", file=_sys.stderr)
         return 2
     except SystemParseError as exc:
-        print(f"snpkit: error: {ns.path}: {exc}", file=_sys.stderr)
+        print(f"snpkit: error: {args.path}: {exc}", file=_sys.stderr)
         return 2
     except ValidationFailure:
         return 1

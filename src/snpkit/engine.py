@@ -75,6 +75,7 @@ __all__ = [
 ]
 
 MODES = ("standard", "paper-trace")
+POLICIES = ("first", "random", "exhaustive")
 
 
 @dataclass(frozen=True)
@@ -405,29 +406,21 @@ class Trace:
         return "\n".join(json.dumps(r.to_json_dict()) for r in self.records)
 
 
-class _EnvColumn:
-    """Per-rule environment emission amounts (0 when no out neuron)."""
-
-    def __init__(self, sys: SNPSystem):
-        if sys.out_neuron is None:
-            self.col = (0,) * sys.rule_count
-        else:
-            self.col = augmented_matrix(sys).column(sys.neuron_count)
-
-    def emitted(self, Iv: tuple[int, ...]) -> int:
-        return sum(e * b for e, b in zip(self.col, Iv))
+def _step_matrices(sys: SNPSystem):
+    """M, PM, CM and the per-rule environment emission amounts (the
+    augmented matrix's last column, 0s when there is no out neuron)."""
+    if sys.out_neuron is None:
+        env = (0,) * sys.rule_count
+    else:
+        env = augmented_matrix(sys).column(sys.neuron_count)
+    return spiking_matrix(sys), production_matrix(sys), consumption_matrix(sys), env
 
 
 def _make_record(
-    sys: SNPSystem,
-    state: SimState,
-    Sp: tuple[int, ...],
-    mode: str,
-    env: _EnvColumn,
-    matrices,
+    sys: SNPSystem, state: SimState, Sp: tuple[int, ...], mode: str, matrices
 ) -> tuple[StepRecord, SimState]:
     """Execute one step with the formula-based semantics and record it."""
-    M, PM, CM = matrices
+    M, PM, CM, env = matrices
     rec_dst = _recorded_dst(sys, state, Sp, mode)
     st_rec = status_from_dst(sys, rec_dst)
     iv = _indicator(sys, state, Sp, mode)
@@ -443,7 +436,7 @@ def _make_record(
         St=st_rec,
         DSt=rec_dst,
         NG=vec_sub(c_next, state.config),
-        emitted=env.emitted(iv),
+        emitted=sum(e * b for e, b in zip(env, iv)),
     )
     nxt = replace(update_delay_state(sys, state, Sp, mode), config=c_next)
     return record, nxt
@@ -455,9 +448,7 @@ def formula_step(
     """One formula-based step (record + next state) for external callers;
     run_trace uses the same machinery with the matrices built once."""
     _check_mode(mode)
-    env = _EnvColumn(sys)
-    mats = (spiking_matrix(sys), production_matrix(sys), consumption_matrix(sys))
-    return _make_record(sys, state, Sp, mode, env, mats)
+    return _make_record(sys, state, Sp, mode, _step_matrices(sys))
 
 
 def _terminal_record(sys: SNPSystem, state: SimState) -> StepRecord:
@@ -498,17 +489,15 @@ def run_trace(
     record carries no action.  Steps with no fireable neuron but closed
     neurons or queued productions still advance time (idle steps)."""
     _check_mode(mode)
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
     if policy == "exhaustive":
         return _run_tree(sys, steps, mode)
-    if policy == "random":
-        if seed is None:
-            raise ValueError("policy 'random' needs a seed")
-        rng = random.Random(seed)
-    elif policy != "first":
-        raise ValueError(f"unknown policy {policy!r}")
+    if policy == "random" and seed is None:
+        raise ValueError("policy 'random' needs a seed")
+    rng = random.Random(seed) if policy == "random" else None
 
-    env = _EnvColumn(sys)
-    mats = (spiking_matrix(sys), production_matrix(sys), consumption_matrix(sys))
+    mats = _step_matrices(sys)
     state = initial_state(sys)
     records: list[StepRecord] = []
     while True:
@@ -520,7 +509,7 @@ def run_trace(
             sp = candidates[0] if policy == "first" else rng.choice(candidates)
         else:
             sp = (0,) * sys.rule_count  # idle: delays keep counting down
-        record, state = _make_record(sys, state, sp, mode, env, mats)
+        record, state = _make_record(sys, state, sp, mode, mats)
         records.append(record)
     records.append(_terminal_record(sys, state))
     return Trace(
@@ -566,8 +555,7 @@ class TraceTree:
 def _run_tree(sys: SNPSystem, depth: int, mode: str) -> TraceTree:
     """Expand level by level, each distinct state once (SimState carries k,
     so only equal states of one step merge), then build nodes bottom-up."""
-    env = _EnvColumn(sys)
-    mats = (spiking_matrix(sys), production_matrix(sys), consumption_matrix(sys))
+    mats = _step_matrices(sys)
     idle = [(0,) * sys.rule_count]
     steps = []  # per step: state -> [(record, next state), ...], () for a leaf
     frontier = dict.fromkeys([initial_state(sys)])
@@ -577,7 +565,7 @@ def _run_tree(sys: SNPSystem, depth: int, mode: str) -> TraceTree:
             sps = enumerate_spiking_vectors(sys, state.config, state.st)
             if not _is_halted(state, mode, sps):
                 edges[state] = [
-                    _make_record(sys, state, sp, mode, env, mats) for sp in sps or idle
+                    _make_record(sys, state, sp, mode, mats) for sp in sps or idle
                 ]
         steps.append(edges)
         frontier = dict.fromkeys(c for out in edges.values() for _r, c in out)

@@ -35,7 +35,6 @@ __all__ = [
     "print_regex",
     "compile_ast",
     "compile_regex",
-    "matches",
     "nfa_matches",
 ]
 
@@ -350,7 +349,3 @@ def compile_ast(ast: RegexAst) -> SemilinearMembership:
 def compile_regex(src: str) -> SemilinearMembership:
     return compile_ast(parse_regex(src))
 
-
-def matches(membership: SemilinearMembership, n: int) -> bool:
-    """a^n in L(E) for a compiled E."""
-    return membership.matches(n)

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 from conftest import REPO_ROOT, SYSTEMS_DIR
-from snpkit.cli import CliConfig, UsageError, main
+from snpkit.cli import main
 
 EXAMPLE1 = str(SYSTEMS_DIR / "example1.snp")
 EXAMPLE3 = str(SYSTEMS_DIR / "example3.snp")
@@ -384,6 +384,21 @@ def test_reach_malformed_target_exit_2(capsys):
     assert code == 2
 
 
+def test_reach_search_too_deep_exit_2_without_traceback(capsys, tmp_path):
+    # 1,100 rules on one neuron leave 1,098 free variables, one nested call
+    # each in the candidate walk: deeper than Python's recursion limit
+    rules = "".join(f"rule n1 E=a^{k} c={k} p=1 d=0\n" for k in range(1, 1101))
+    path = tmp_path / "many.snp"
+    path.write_text("neuron n1 spikes=2\nneuron n2 spikes=0\n" + rules + "syn n1 n2\n")
+    code, out, err = run_cli(capsys, "reach", str(path), "--target", "1,1", "--kmax", "1")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "snpkit: error: too many free variables for the sum-vector search "
+        "(recursion limit exceeded)\n"
+    )
+
+
 def test_reach_delayed_system_exit_2(capsys):
     code, _, err = run_cli(
         capsys, "reach", EXAMPLE3, "--target", "1,0,1", "--kmax", "2"
@@ -412,15 +427,32 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
-def test_cli_config_invariants():
-    with pytest.raises(UsageError):
-        CliConfig(subcommand="simulate", path="x", policy="random")
-    with pytest.raises(UsageError):
-        CliConfig(subcommand="simulate", path="x", fmt="yaml")
-    with pytest.raises(UsageError):
-        CliConfig(subcommand="simulate", path="x", steps=-1)
-    cfg = CliConfig(subcommand="simulate", path="x", policy="random", seed=3)
-    assert cfg.seed == 3
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--policy", "random"], "policy 'random' requires --seed"),
+        (["simulate", "--seed", "3"], "--seed only makes sense with --policy random"),
+        (["simulate", "--steps", "-1"], "--steps must be nonnegative"),
+        (["reach", "--target", "1", "--kmax", "-1"], "--kmax must be nonnegative"),
+        (["reach", "--target", "1", "--vmax", "-1"], "--vmax must be nonnegative"),
+        (
+            ["reach", "--target", "1,x"],
+            "--target wants comma-separated nonnegative integers, got '1,x'",
+        ),
+        (
+            ["reach", "--target", "1", "--from", "x"],
+            "--from wants comma-separated nonnegative integers, got 'x'",
+        ),
+    ],
+    ids=["random-no-seed", "seed-not-random", "steps", "kmax", "vmax", "target", "from"],
+)
+def test_flag_errors_come_before_validation(capsys, tmp_path, argv, message):
+    bad = tmp_path / "bad.snp"
+    bad.write_text("neuron a spikes=1\nrule a E=a c=0 p=0 d=0\n")
+    code, out, err = run_cli(capsys, argv[0], str(bad), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"snpkit: error: {message}\n"
 
 
 def test_module_entry_point_subprocess():

@@ -12,7 +12,6 @@ from snpkit.regex import (
     Union,
     compile_ast,
     compile_regex,
-    matches,
     nfa_matches,
     parse_regex,
     print_regex,
@@ -177,9 +176,9 @@ def test_matches_rejects_negative():
         nfa_matches(parse_regex("a"), -1)
 
 
-def test_module_level_matches_helper():
+def test_compiled_guard_matches():
     m = compile_regex("a^2(a)*")
-    assert matches(m, 2) and matches(m, 5) and not matches(m, 1)
+    assert m.matches(2) and m.matches(5) and not m.matches(1)
 
 
 # --- randomized agreement between the three routes -------------------------
