@@ -81,6 +81,10 @@ def _load(path: str) -> SNPSystem:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(
+            f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
     return parse_system(text)  # SystemParseError carries the line number
 
 

@@ -3,7 +3,10 @@
 Row indices are rule indices, column indices are neuron indices, both in
 declaration order.  All arithmetic is over Python ints (and stays exact);
 rank is computed with fraction-free elimination so no rationals are ever
-materialized.
+materialized.  Products (`IntMatrix.vecmat`) visit only the nonzero entries
+of the rows whose entry in the vector is nonzero, as sparse-matrix SN P
+simulators do, so a step costs the rules fired times their out-degree; the
+dense rows remain for display, JSON and rank.
 
 Conventions:
   spiking_matrix      n x m: -c in the owner column, +p in each synaptic
@@ -19,6 +22,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .model import SNPSystem
 
@@ -52,14 +56,21 @@ class IntMatrix:
         i, j = ij
         return self.data[i][j]
 
+    @cached_property
+    def sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero (column, value) pairs of each row, in column order."""
+        return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in self.data)
+
     def vecmat(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        """v . self for a row vector v of length `rows`."""
+        """v . self for a row vector v of length `rows` (sparse, see above)."""
         if len(v) != self.rows:
             raise ValueError(f"vector length {len(v)} != rows {self.rows}")
-        return tuple(
-            sum(v[i] * self.data[i][j] for i in range(self.rows))
-            for j in range(self.cols)
-        )
+        out = [0] * self.cols
+        for x, row in zip(v, self.sparse_rows):
+            if x:
+                for j, a in row:
+                    out[j] += x * a
+        return tuple(out)
 
     def sub(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

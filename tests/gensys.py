@@ -25,8 +25,9 @@ def make_random_system(
     max_spikes: int = 5,
     allow_delay: bool = False,
     with_out: bool | None = None,
+    min_neurons: int = 1,
 ) -> SNPSystem:
-    m = rng.randint(1, max_neurons)
+    m = rng.randint(min_neurons, max_neurons)
     names = tuple(f"n{j + 1}" for j in range(m))
     initial = tuple(rng.randint(0, max_spikes) for _ in range(m))
 

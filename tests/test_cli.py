@@ -107,6 +107,18 @@ def test_missing_file_exit_2(capsys):
     assert "no-such-file.snp" in err
 
 
+def test_non_utf8_file_exit_2_without_traceback(capsys, tmp_path):
+    bad = tmp_path / "latin.snp"
+    bad.write_bytes(b"neuron a spikes=1\n\xff\n")
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"snpkit: error: cannot read {bad}: "
+        "not UTF-8 text (invalid start byte at byte 18)"
+    ]
+
+
 def test_invalid_system_blocks_other_commands(capsys, tmp_path):
     bad = tmp_path / "bad.snp"
     bad.write_text("neuron a spikes=1\nrule a E=a c=0 p=0 d=0\n")

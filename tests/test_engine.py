@@ -547,12 +547,17 @@ def test_telescoping_along_no_delay_traces(seed, steps):
 @given(
     seed=st.integers(min_value=0, max_value=10**9),
     steps=st.integers(min_value=0, max_value=8),
+    # (min neurons, max neurons, max rules): the small tier, and a tier at
+    # benchmark sizes where the sparse products skip most cells
+    size=st.sampled_from([(1, 4, 6), (8, 12, 36)]),
 )
 @settings(max_examples=120, deadline=None)
-def test_nonnegativity_and_oracle_agreement_with_delays(seed, steps):
+def test_nonnegativity_and_oracle_agreement_with_delays(seed, steps, size):
     rng = random.Random(seed)
+    lo, hi, rules = size
     sys = make_random_system(
-        rng, max_neurons=4, max_rules=6, max_spikes=5, allow_delay=True
+        rng, max_neurons=hi, max_rules=rules, max_spikes=5, allow_delay=True,
+        min_neurons=lo,
     )
     for mode in ("standard", "paper-trace"):
         state = initial_state(sys)

@@ -1,5 +1,6 @@
 """Matrix builders, exact rank, and the structural report."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -134,6 +135,41 @@ def test_vecmat_golden(example1):
     assert m.vecmat((0, 1, 1, 0, 1)) == (-1, 0, 0)
     with pytest.raises(ValueError):
         m.vecmat((1, 0, 0))
+
+
+def dense_vecmat(mat: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
+    """The every-cell product vecmat used before it went sparse (reference)."""
+    return tuple(
+        sum(v[i] * mat.data[i][j] for i in range(mat.rows)) for j in range(mat.cols)
+    )
+
+
+@st.composite
+def matrix_and_vector(draw):
+    rows = draw(st.integers(min_value=0, max_value=12))
+    cols = draw(st.integers(min_value=0, max_value=12))
+    entry = st.one_of(st.just(0), st.integers(min_value=-5, max_value=5))
+    data = tuple(
+        tuple(draw(st.lists(entry, min_size=cols, max_size=cols))) for _ in range(rows)
+    )
+    small = st.integers(min_value=-3, max_value=3)
+    v = tuple(draw(st.lists(small, min_size=rows, max_size=rows)))
+    return IntMatrix(rows, cols, data), v
+
+
+@given(case=matrix_and_vector())
+@settings(max_examples=300, deadline=None)
+def test_sparse_vecmat_matches_dense_reference(case):
+    m, v = case
+    fresh = IntMatrix(m.rows, m.cols, m.data)
+    expected = dense_vecmat(m, v)
+    assert m.vecmat(v) == expected
+    assert m.vecmat(v) == expected  # second product reuses the cached rows
+    assert m == fresh and hash(m) == hash(fresh)
+    assert m.to_json_dict() == fresh.to_json_dict()
+    assert dataclasses.asdict(m) == {"rows": m.rows, "cols": m.cols, "data": m.data}
+    with pytest.raises(ValueError):
+        m.vecmat(v + (1,))
 
 
 def test_matrix_text_and_json_round_trip(example1):
