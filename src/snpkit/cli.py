@@ -49,11 +49,14 @@ def _config_flag(text: str, flag: str) -> tuple[int, ...]:
     out = []
     for part in text.split(","):
         part = part.strip()
-        if not part.lstrip("+").isdigit():
+        try:
+            if not part.lstrip("+").isdigit():
+                raise ValueError(part)
+            out.append(int(part))  # refuses superscripts and over-long numbers
+        except ValueError:
             raise UsageError(
                 f"--{flag} wants comma-separated nonnegative integers, got {text!r}"
-            )
-        out.append(int(part))
+            ) from None
     return tuple(out)
 
 

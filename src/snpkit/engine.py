@@ -25,8 +25,10 @@ Two delay semantics are provided, selected by `mode`:
 In both modes the recorded status of step k gates deliveries at step k,
 and rule selection at step k uses the carry status entering k (a neuron
 closing at k in paper-trace mode may still have been selected at k).
-For delay-free systems the two modes coincide with the plain formula
-C(k+1) = C(k) + Sp(k) . M.
+One function, `_advance`, holds both conventions: the formula step, the
+operational oracle and the identity checks all take their recorded DSt,
+St, Iv and carry state from it.  For delay-free systems the two modes
+coincide with the plain formula C(k+1) = C(k) + Sp(k) . M.
 """
 
 from __future__ import annotations
@@ -232,83 +234,53 @@ def _check_mode(mode: str):
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
 
 
-def _recorded_dst(
+def _advance(
     sys: SNPSystem, state: SimState, Sp: tuple[int, ...], mode: str
-) -> tuple[int, ...]:
-    """DSt as recorded at step k (gates deliveries at this step)."""
-    if mode == "standard":
-        return state.dst
-    rec = []
-    for i, r in enumerate(sys.rules):
-        if Sp[i] and r.d > 0 and state.k > 0:
-            rec.append(r.d)  # closure shows up at the firing step itself
-        else:
-            rec.append(state.dst[i])
-    return tuple(rec)
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], SimState]:
+    """The delay bookkeeping of step k, both conventions, in one walk over
+    the rules.  Returns the DSt recorded at k, the status it implies (which
+    gates deliveries at k), the indicator Iv (immediate firings, plus due
+    releases in standard mode) and the carry state entering k + 1 with the
+    configuration unchanged.
 
-
-def _carry_dst(
-    sys: SNPSystem, state: SimState, Sp: tuple[int, ...], mode: str
-) -> tuple[int, ...]:
-    """DSt carried into step k+1."""
-    nxt = []
+    Newly fired delayed rules take on their full delay (standard mode
+    queues their production for step k + d); everything else decrements
+    toward 0, and a production falls due as its rule's delay runs out."""
+    standard, k = mode == "standard", state.k
+    rec, carry, iv = list(state.dst), [], []
+    pending = list(state.pending)
+    st_rec = [1] * sys.neuron_count
+    st_next = [1] * sys.neuron_count
     for i, r in enumerate(sys.rules):
+        due = standard and pending[i] is not None and pending[i][0] == k
+        if due:
+            pending[i] = None
         if Sp[i] and r.d > 0:
-            if mode == "standard" or state.k == 0:
-                nxt.append(r.d)
-            else:
-                nxt.append(r.d - 1)  # already counted once at the firing step
+            left = r.d
+            if standard:
+                pending[i] = (k + r.d, r.p)
+            elif k > 0:
+                rec[i] = r.d  # closure shows up at the firing step itself
+                left = r.d - 1  # ... and is already counted once
         else:
-            nxt.append(max(state.dst[i] - 1, 0))
-    return tuple(nxt)
-
-
-def _released_now(state: SimState) -> tuple[int, ...]:
-    """Rules whose queued production is due at this step (standard mode)."""
-    return tuple(
-        i
-        for i, q in enumerate(state.pending)
-        if q is not None and q[0] == state.k
-    )
-
-
-def _indicator(
-    sys: SNPSystem, state: SimState, Sp: tuple[int, ...], mode: str
-) -> tuple[int, ...]:
-    """Rules producing at step k: immediate firings, plus due releases in
-    standard mode; a delayed rule never produces in paper-trace mode."""
-    iv = [1 if Sp[i] and sys.rules[i].d == 0 else 0 for i in range(sys.rule_count)]
-    if mode == "standard":
-        for i in _released_now(state):
-            iv[i] = 1
-    return tuple(iv)
+            left = rec[i] - 1 if rec[i] > 0 else 0
+        carry.append(left)
+        iv.append(1 if due or (Sp[i] and r.d == 0) else 0)
+        if rec[i] > 0:
+            st_rec[r.owner] = 0
+        if left > 0:
+            st_next[r.owner] = 0
+    nxt = SimState(k + 1, state.config, tuple(carry), tuple(st_next), tuple(pending))
+    return tuple(rec), tuple(st_rec), tuple(iv), nxt
 
 
 def update_delay_state(
     sys: SNPSystem, state: SimState, Sp: tuple[int, ...], mode: str = "standard"
 ) -> SimState:
-    """Advance the delay bookkeeping one step (configuration untouched).
-
-    Newly fired delayed rules take on their full delay (standard mode
-    queues their production for step k + d); everything else decrements
-    toward 0.  The returned state's st is derived from the new dst.
-    """
+    """Advance the delay bookkeeping one step (configuration untouched);
+    the returned state's st is derived from the new dst."""
     _check_mode(mode)
-    carry = _carry_dst(sys, state, Sp, mode)
-    pending = list(state.pending)
-    if mode == "standard":
-        for i in _released_now(state):
-            pending[i] = None
-        for i, r in enumerate(sys.rules):
-            if Sp[i] and r.d > 0:
-                pending[i] = (state.k + r.d, r.p)
-    return SimState(
-        k=state.k + 1,
-        config=state.config,
-        dst=carry,
-        st=status_from_dst(sys, carry),
-        pending=tuple(pending),
-    )
+    return _advance(sys, state, Sp, mode)[3]
 
 
 # --- operational oracle ------------------------------------------------------
@@ -319,7 +291,7 @@ def operational_step(
 ) -> SimState:
     """Next state by direct simulation: per-neuron consumption, per-synapse
     delivery to open receivers, no matrix algebra.  Independent of the
-    formula-based stepping on purpose."""
+    formula-based stepping on purpose; only the delay bookkeeping is shared."""
     _check_mode(mode)
     spikes = list(state.config)
     # consumption happens at firing time in both modes
@@ -328,18 +300,13 @@ def operational_step(
             spikes[r.owner] -= r.c
             if spikes[r.owner] < 0:
                 raise ValueError(f"rule {i} consumed more than present at {state.config}")
-    st_now = status_from_dst(sys, _recorded_dst(sys, state, Sp, mode))
-    for i in _producing_rules(sys, state, Sp, mode):
-        r = sys.rules[i]
-        for tgt in sys.targets_of[r.owner]:
-            if st_now[tgt]:  # closed neurons reject spikes
-                spikes[tgt] += r.p
-    nxt = update_delay_state(sys, state, Sp, mode)
+    _dst, st_now, iv, nxt = _advance(sys, state, Sp, mode)
+    for i, r in enumerate(sys.rules):
+        if iv[i]:
+            for tgt in sys.targets_of[r.owner]:
+                if st_now[tgt]:  # closed neurons reject spikes
+                    spikes[tgt] += r.p
     return replace(nxt, config=tuple(spikes))
-
-
-def _producing_rules(sys, state, Sp, mode) -> list[int]:
-    return [i for i, b in enumerate(_indicator(sys, state, Sp, mode)) if b]
 
 
 # --- traces ------------------------------------------------------------------
@@ -421,9 +388,7 @@ def _make_record(
 ) -> tuple[StepRecord, SimState]:
     """Execute one step with the formula-based semantics and record it."""
     M, PM, CM, env = matrices
-    rec_dst = _recorded_dst(sys, state, Sp, mode)
-    st_rec = status_from_dst(sys, rec_dst)
-    iv = _indicator(sys, state, Sp, mode)
+    rec_dst, st_rec, iv, nxt = _advance(sys, state, Sp, mode)
     if sys.has_delays:
         c_next = step_with_delay_v1(state.config, Sp, iv, st_rec, PM, CM)
     else:
@@ -438,8 +403,7 @@ def _make_record(
         NG=vec_sub(c_next, state.config),
         emitted=sum(e * b for e, b in zip(env, iv)),
     )
-    nxt = replace(update_delay_state(sys, state, Sp, mode), config=c_next)
-    return record, nxt
+    return record, replace(nxt, config=c_next)
 
 
 def formula_step(
@@ -466,12 +430,11 @@ def _terminal_record(sys: SNPSystem, state: SimState) -> StepRecord:
     )
 
 
-def _is_halted(state: SimState, mode: str, vectors: list[tuple[int, ...]]) -> bool:
-    """Halted: no spiking vector (`vectors` as enumerated at this state), no
-    closed neuron and, in standard mode, no queued production."""
-    if vectors or any(b == 0 for b in state.st):
-        return False
-    return mode != "standard" or all(q is None for q in state.pending)
+def _is_halted(state: SimState, vectors: list[tuple[int, ...]]) -> bool:
+    """Halted: no spiking vector (`vectors` as enumerated at this state) and
+    no closed neuron.  That also means nothing is queued: a production stays
+    queued exactly while its rule's delay runs, which keeps its neuron closed."""
+    return not vectors and all(state.st)
 
 
 def run_trace(
@@ -502,7 +465,7 @@ def run_trace(
     records: list[StepRecord] = []
     while True:
         candidates = enumerate_spiking_vectors(sys, state.config, state.st)
-        halted = _is_halted(state, mode, candidates)
+        halted = _is_halted(state, candidates)
         if halted or len(records) >= steps:
             break
         if candidates:
@@ -563,7 +526,7 @@ def _run_tree(sys: SNPSystem, depth: int, mode: str) -> TraceTree:
         edges = dict.fromkeys(frontier, ())
         for state in frontier:
             sps = enumerate_spiking_vectors(sys, state.config, state.st)
-            if not _is_halted(state, mode, sps):
+            if not _is_halted(state, sps):
                 edges[state] = [
                     _make_record(sys, state, sp, mode, mats) for sp in sps or idle
                 ]
@@ -653,19 +616,14 @@ def check_step_identities(
     trace can pass the status the trace actually recorded at k+1 via
     `st_next` (the two differ when the next step itself fires a delayed
     rule and closures are recorded at firing time)."""
-    M = spiking_matrix(sys)
-    PM = production_matrix(sys)
-    CM = consumption_matrix(sys)
+    M, PM, CM, _env = _step_matrices(sys)
     entries = []
     for sp in enumerate_spiking_vectors(sys, state.config, state.st):
-        rec_dst = _recorded_dst(sys, state, sp, mode)
-        st_rec = status_from_dst(sys, rec_dst)
-        iv = _indicator(sys, state, sp, mode)
+        _dst, st_rec, iv, nxt = _advance(sys, state, sp, mode)
         rst = rule_status(sys, st_rec)
         lhs = hadamard(st_rec, M.vecmat(iv))
         rhs = M.vecmat(hadamard(rst, iv))
         v1 = step_with_delay_v1(state.config, sp, iv, st_rec, PM, CM)
-        nxt = update_delay_state(sys, state, sp, mode)
         v2 = step_with_delay_v2(
             state.config, iv, nxt.st if st_next is None else st_next, M
         )
@@ -711,21 +669,10 @@ def formula_comparison_report(
     M = spiking_matrix(sys)
     out = []
     records = trace.records
-    for k in range(len(records) - 1):
-        rec, nxt = records[k], records[k + 1]
-        # _carry_dst only reads state.dst for rules that did not fire,
-        # where the recorded DSt equals the carry in both modes
-        synth = SimState(
-            k=rec.k,
-            config=rec.C,
-            dst=rec.DSt,
-            st=rec.St,
-            pending=(None,) * sys.rule_count,
-        )
-        carry_st = status_from_dst(
-            sys, _carry_dst(sys, synth, rec.Sp, trace.mode)
-        )
-        v2c = step_with_delay_v2(rec.C, rec.Iv, carry_st, M)
+    state = initial_state(sys)  # replays the trace's delay bookkeeping
+    for rec, nxt in zip(records, records[1:]):
+        state = update_delay_state(sys, state, rec.Sp, trace.mode)
+        v2c = step_with_delay_v2(rec.C, rec.Iv, state.st, M)
         v2r = step_with_delay_v2(rec.C, rec.Iv, nxt.St, M)
         out.append(
             FormulaComparison(

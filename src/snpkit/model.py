@@ -179,20 +179,26 @@ def parse_system(text: str) -> SNPSystem:
             if name in index:
                 err(f"duplicate neuron {name!r}", lineno)
             val = parts[2][len("spikes="):]
-            if not val.isdigit():
+            try:
+                if not val.isdigit():
+                    raise ValueError(val)
+                spikes = int(val)  # refuses superscripts and over-long numbers
+            except ValueError:
                 err(f"spikes must be an unsigned integer, got {val!r}", lineno)
             index[name] = len(names)
             names.append(name)
-            initial.append(int(val))
+            initial.append(spikes)
         elif kind == "rule":
             m = _RULE_LINE.match(line)
             if not m:
                 err("expected: rule <name> [E=<regex>] c=<uint> p=<uint> d=<uint>", lineno)
             owner = lookup(m["name"], lineno)
             try:
-                rules.append(
-                    make_rule(owner, m["regex"], int(m["c"]), int(m["p"]), int(m["d"]))
-                )
+                c, p, d = int(m["c"]), int(m["p"]), int(m["d"])
+            except ValueError:  # more digits than int() converts
+                err("c, p and d have too many digits to convert", lineno)
+            try:
+                rules.append(make_rule(owner, m["regex"], c, p, d))
             except RegexSyntaxError as exc:
                 err(f"bad guard regex: {exc}", lineno)
         elif kind == "syn":

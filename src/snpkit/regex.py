@@ -150,9 +150,10 @@ class _Parser:
         start = self.pos
         while self.peek() is not None and self.peek().isdigit():
             self.pos += 1
-        if self.pos == start:
-            self.fail("expected an unsigned integer")
-        return int(self.src[start : self.pos])
+        try:
+            return int(self.src[start : self.pos])
+        except ValueError:  # no digits, superscripts, or more than int() converts
+            self.fail("expected an unsigned integer", start)
 
 
 def parse_regex(src: str) -> RegexAst:

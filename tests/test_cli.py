@@ -119,6 +119,40 @@ def test_non_utf8_file_exit_2_without_traceback(capsys, tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        ("neuron a spikes=²\n", ["validate"], "line 1: spikes must be"),
+        (
+            "neuron a spikes=1\nrule a E=a^² c=1 p=1 d=0\n",
+            ["validate"],
+            "line 2: bad guard regex: expected an unsigned integer (offset 2)",
+        ),
+        (
+            f"neuron a spikes=1\nrule a c={'9' * 5000} p=1 d=0\n",
+            ["validate"],
+            "line 2: c, p and d have too many digits",
+        ),
+        (None, ["reach", "--target", "²,0,0"], "--target wants"),
+    ],
+    ids=["superscript-spikes", "superscript-guard", "long-c", "superscript-target"],
+)
+def test_numbers_int_refuses_exit_2_without_traceback(
+    capsys, tmp_path, text, argv, message
+):
+    # str.isdigit accepts superscript digits and any length; int() does not
+    path = EXAMPLE1
+    if text is not None:
+        path = tmp_path / "num.snp"
+        path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("snpkit: error:") and message in err
+    assert "Traceback" not in err
+
+
 def test_invalid_system_blocks_other_commands(capsys, tmp_path):
     bad = tmp_path / "bad.snp"
     bad.write_text("neuron a spikes=1\nrule a E=a c=0 p=0 d=0\n")

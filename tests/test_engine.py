@@ -14,6 +14,7 @@ from snpkit.engine import (
     SimState,
     Trace,
     TraceTree,
+    _advance,
     achievable_first_intervals,
     check_step_identities,
     enumerate_spiking_vectors,
@@ -572,6 +573,112 @@ def test_nonnegativity_and_oracle_agreement_with_delays(seed, steps, size):
             assert all(x >= 0 for x in nxt.config)
             assert operational_step(sys, state, sp, mode) == nxt
             state = nxt
+
+
+# The per-mode helpers the one-pass `_advance` replaced, kept as the
+# reference it is checked against: formula and oracle stepping now share
+# the bookkeeping, so their agreement can no longer catch a fault in it.
+
+
+def _ref_recorded_dst(sys, state, Sp, mode):
+    if mode == "standard":
+        return state.dst
+    rec = []
+    for i, r in enumerate(sys.rules):
+        if Sp[i] and r.d > 0 and state.k > 0:
+            rec.append(r.d)
+        else:
+            rec.append(state.dst[i])
+    return tuple(rec)
+
+
+def _ref_carry_dst(sys, state, Sp, mode):
+    nxt = []
+    for i, r in enumerate(sys.rules):
+        if Sp[i] and r.d > 0:
+            if mode == "standard" or state.k == 0:
+                nxt.append(r.d)
+            else:
+                nxt.append(r.d - 1)
+        else:
+            nxt.append(max(state.dst[i] - 1, 0))
+    return tuple(nxt)
+
+
+def _ref_released_now(state):
+    return tuple(
+        i for i, q in enumerate(state.pending) if q is not None and q[0] == state.k
+    )
+
+
+def _ref_indicator(sys, state, Sp, mode):
+    iv = [1 if Sp[i] and sys.rules[i].d == 0 else 0 for i in range(sys.rule_count)]
+    if mode == "standard":
+        for i in _ref_released_now(state):
+            iv[i] = 1
+    return tuple(iv)
+
+
+def _ref_update_delay_state(sys, state, Sp, mode):
+    carry = _ref_carry_dst(sys, state, Sp, mode)
+    pending = list(state.pending)
+    if mode == "standard":
+        for i in _ref_released_now(state):
+            pending[i] = None
+        for i, r in enumerate(sys.rules):
+            if Sp[i] and r.d > 0:
+                pending[i] = (state.k + r.d, r.p)
+    return SimState(
+        k=state.k + 1,
+        config=state.config,
+        dst=carry,
+        st=status_from_dst(sys, carry),
+        pending=tuple(pending),
+    )
+
+
+def _walk_against_reference(sys, mode, rng, steps):
+    """Random walk of valid vectors (idle when there is none), checking the
+    one-pass bookkeeping against the reference at every step, and the
+    invariant that lets halting ignore `pending`."""
+    state = initial_state(sys)
+    for _ in range(steps):
+        if mode == "standard":
+            queued = tuple(q is not None for q in state.pending)
+            assert queued == tuple(d > 0 for d in state.dst)
+        else:
+            assert all(q is None for q in state.pending)
+        cands = enumerate_spiking_vectors(sys, state.config, state.st)
+        sp = rng.choice(cands) if cands else (0,) * sys.rule_count
+        rec_dst = _ref_recorded_dst(sys, state, sp, mode)
+        expected = (
+            rec_dst,
+            status_from_dst(sys, rec_dst),
+            _ref_indicator(sys, state, sp, mode),
+            _ref_update_delay_state(sys, state, sp, mode),
+        )
+        assert _advance(sys, state, sp, mode) == expected
+        state = formula_step(sys, state, sp, mode)[1]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    steps=st.integers(min_value=0, max_value=12),
+    mode=st.sampled_from(MODES),
+)
+@settings(max_examples=150, deadline=None)
+def test_one_pass_bookkeeping_matches_per_mode_reference(seed, steps, mode):
+    rng = random.Random(seed)
+    sys = make_random_system(rng, max_rules=8, allow_delay=True)
+    _walk_against_reference(sys, mode, rng, steps)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_one_pass_bookkeeping_delayed_firing_at_k0(example3, mode):
+    # n3's delayed rule fires at k = 0, the paper-trace special case; in
+    # standard mode its production falls due at k = 2
+    for seed in range(5):
+        _walk_against_reference(example3, mode, random.Random(seed), 12)
 
 
 @given(seed=st.integers(min_value=0, max_value=10**9))
