@@ -16,9 +16,10 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from snpkit.engine import (
-    SimState,
     check_step_identities,
     formula_comparison_report,
+    initial_state,
+    operational_step,
     run_trace,
 )
 from snpkit.model import parse_system
@@ -54,11 +55,8 @@ def main() -> None:
                   f"actual {e.actual} {flag}")
 
         print(f"== gating identity at each recorded state, mode={mode} ==")
+        state = initial_state(sys_)  # the states the trace passed through
         for rec in trace.records[:-1]:
-            state = SimState(
-                k=rec.k, config=rec.C, dst=rec.DSt, st=rec.St,
-                pending=(None,) * sys_.rule_count,
-            )
             report = check_step_identities(sys_, state, mode=mode)
             for e in report.entries:
                 flag = "holds" if e.rst_identity_holds else "SPLITS"
@@ -66,6 +64,7 @@ def main() -> None:
                     f"k={rec.k} Sp={e.Sp}: receiver-gated {e.lhs} "
                     f"owner-gated {e.rhs} {flag}"
                 )
+            state = operational_step(sys_, state, rec.Sp, mode)
 
 
 if __name__ == "__main__":

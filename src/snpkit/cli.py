@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from dataclasses import asdict
 
 from .engine import MODES, POLICIES, Trace, TraceTree, achievable_first_intervals, run_trace
 from .matrices import (
@@ -76,6 +75,8 @@ def _check_flags(args: argparse.Namespace) -> None:
         value = getattr(args, flag, None)
         if value is not None and value < 0:
             raise UsageError(f"--{flag} must be nonnegative")
+    if getattr(args, "vmax", None) is not None and args.from_config is None:
+        raise UsageError("--vmax only makes sense with --from")
 
 
 def _load(path: str) -> SNPSystem:
@@ -103,8 +104,19 @@ def _require_valid(sys: SNPSystem, path: str):
         raise ValidationFailure(path)
 
 
+def json_default(obj) -> dict:
+    """The `default=` hook of every JSON print: a dataclass record becomes
+    the dict of its own fields (read by name, so cached properties kept in
+    the instance dict stay out); tuples print as arrays."""
+    try:
+        names = obj.__dataclass_fields__
+    except AttributeError:
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable") from None
+    return {name: getattr(obj, name) for name in names}
+
+
 def _emit_json(blob) -> None:
-    print(json.dumps(blob, indent=2, sort_keys=True))
+    print(json.dumps(blob, indent=2, sort_keys=True, default=json_default))
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -114,7 +126,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     sys = _load(args.path)
     report = validate(sys)
     if args.format == "json":
-        _emit_json({"ok": report.ok, "problems": [asdict(e) for e in report.entries]})
+        _emit_json({"ok": report.ok, "problems": report.entries})
     else:
         if report.ok:
             print(f"{args.path}: ok "
@@ -138,9 +150,7 @@ def cmd_matrices(args: argparse.Namespace) -> int:
     _require_valid(sys, args.path)
     blocks = _matrix_blocks(sys)
     if args.format == "json":
-        _emit_json(
-            {name: (mat.to_json_dict() if mat else None) for name, mat in blocks}
-        )
+        _emit_json(dict(blocks))
     else:
         for name, mat in blocks:
             if mat is None:
@@ -170,7 +180,7 @@ def _tree_summary(tree: TraceTree):
     return {
         "depth": tree.depth,
         "paths": tree.leaf_count(),
-        "final_configs": [list(c) for c in finals],
+        "final_configs": finals,
         "first_intervals": intervals,
     }
 
@@ -189,7 +199,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print(f"paths to depth {summary['depth']}: {summary['paths']}")
             print(
                 "final configs: "
-                + " ".join(str(tuple(c)) for c in summary["final_configs"])
+                + " ".join(str(c) for c in summary["final_configs"])
             )
             print(
                 "achievable first intervals: "
@@ -200,7 +210,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
         return 0
     if args.format == "json":
-        print(result.to_json_lines())
+        print("\n".join(json.dumps(r, default=json_default) for r in result.records))
     else:
         _print_trace_text(result)
     return 0
@@ -211,7 +221,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     _require_valid(sys, args.path)
     rep = structural_report(sys)
     if args.format == "json":
-        _emit_json(asdict(rep))
+        _emit_json(rep)
     else:
         print(f"row negative counts: {rep.row_negative_counts}")
         print(f"col negative counts: {rep.col_negative_counts}")
@@ -270,7 +280,7 @@ def cmd_reach(args: argparse.Namespace) -> int:
             "(recursion limit exceeded)"
         ) from exc
     if args.format == "json":
-        _emit_json(cert.to_json_dict())
+        _emit_json(cert)
     else:
         _print_certificate_text(cert)
     if cert.reachable:

@@ -34,7 +34,6 @@ coincide with the plain formula C(k+1) = C(k) + Sp(k) . M.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass, replace
 
@@ -326,18 +325,6 @@ class StepRecord:
     NG: tuple[int, ...]
     emitted: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "C": list(self.C),
-            "Sp": list(self.Sp),
-            "Iv": list(self.Iv),
-            "St": list(self.St),
-            "DSt": list(self.DSt),
-            "NG": list(self.NG),
-            "emitted": self.emitted,
-        }
-
 
 @dataclass(frozen=True)
 class Trace:
@@ -368,9 +355,6 @@ class Trace:
         if len(steps) < 2:
             return None
         return steps[1] - steps[0]
-
-    def to_json_lines(self) -> str:
-        return "\n".join(json.dumps(r.to_json_dict()) for r in self.records)
 
 
 def _step_matrices(sys: SNPSystem):

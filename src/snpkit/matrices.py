@@ -87,9 +87,6 @@ class IntMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.data)
 
-    def to_json_dict(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols, "data": [list(r) for r in self.data]}
-
     def to_text(self) -> str:
         if not self.data:
             return "(empty)"

@@ -123,7 +123,7 @@ class SNPSystem:
     def delay_vector(self) -> tuple[int, ...]:
         return tuple(r.d for r in self.rules)
 
-    @property
+    @cached_property
     def has_delays(self) -> bool:
         return any(r.d > 0 for r in self.rules)
 

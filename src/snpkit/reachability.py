@@ -24,7 +24,6 @@ production is lost to a closure that no later mask cancels).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -199,28 +198,12 @@ class TrialRow:
     config: tuple[int, ...]  # configuration after the step (or at failure)
     note: str | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "residual": list(self.residual),
-            "Sp": None if self.Sp is None else list(self.Sp),
-            "config": list(self.config),
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class CandidateFailure:
     s_bar: tuple[int, ...]
     reason: str
     table: tuple[TrialRow, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "s_bar": list(self.s_bar),
-            "reason": self.reason,
-            "table": [row.to_json_dict() for row in self.table],
-        }
 
 
 @dataclass(frozen=True)
@@ -236,24 +219,6 @@ class ReachabilityCertificate:
     @property
     def reachable(self) -> bool:
         return self.verdict == "reachable"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "k": self.k,
-            "configs": None
-            if self.configs is None
-            else [list(c) for c in self.configs],
-            "spiking_vectors": None
-            if self.spiking_vectors is None
-            else [list(s) for s in self.spiking_vectors],
-            "s_bar": None if self.s_bar is None else list(self.s_bar),
-            "candidates_tried": self.candidates_tried,
-            "failures": [f.to_json_dict() for f in self.failures],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def _greedy_table(

@@ -12,8 +12,8 @@ import sys
 import jsonschema
 import pytest
 
-from conftest import REPO_ROOT, SYSTEMS_DIR
-from snpkit.cli import main
+from conftest import REPO_ROOT, SYSTEMS_DIR, TESTS_DIR
+from snpkit.cli import json_default, main
 
 EXAMPLE1 = str(SYSTEMS_DIR / "example1.snp")
 EXAMPLE3 = str(SYSTEMS_DIR / "example3.snp")
@@ -464,6 +464,38 @@ def test_reach_json_deterministic(capsys):
     assert runs[0] == runs[1]
 
 
+# --- pinned JSON bytes ------------------------------------------------------------
+
+# One query per JSON path; tests/golden/<name>.out holds its exact stdout.
+# The parsed-JSON tests above would miss a change of key order, spacing or
+# indentation, which these catch.
+GOLDEN_DIR = TESTS_DIR / "golden"
+JSON_GOLDENS = {
+    "validate-ok": (0, ["validate", EXAMPLE1]),
+    "validate-problems": (1, ["validate", str(GOLDEN_DIR / "bad.snp")]),
+    "matrices-out": (0, ["matrices", EXAMPLE1]),
+    "matrices-no-out": (0, ["matrices", EXAMPLE3]),
+    "simulate-trace": (0, ["simulate", EXAMPLE3, "--steps", "5", "--mode", "paper-trace"]),
+    "simulate-exhaustive": (0, ["simulate", EXAMPLE1, "--steps", "6", "--policy", "exhaustive"]),
+    "analyze": (0, ["analyze", EXAMPLE1]),
+    "reach-hit": (0, ["reach", EXAMPLE1, "--target", "2,1,2", "--kmax", "2"]),
+    "reach-miss": (1, ["reach", EXAMPLE1, "--target", "2,0,2", "--kmax", "2"]),
+}
+
+
+@pytest.mark.parametrize("name", list(JSON_GOLDENS))
+def test_json_stdout_bytes_pinned(capsys, name):
+    expect_code, argv = JSON_GOLDENS[name]
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (expect_code, "")
+    assert out == (GOLDEN_DIR / f"{name}.out").read_text()
+
+
+def test_json_hook_refuses_non_records():
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        json.dumps({1}, default=json_default)
+
+
 # --- flag plumbing ----------------------------------------------------------------
 
 
@@ -481,6 +513,7 @@ def test_unknown_subcommand_exits_2():
         (["simulate", "--steps", "-1"], "--steps must be nonnegative"),
         (["reach", "--target", "1", "--kmax", "-1"], "--kmax must be nonnegative"),
         (["reach", "--target", "1", "--vmax", "-1"], "--vmax must be nonnegative"),
+        (["reach", "--target", "1", "--vmax", "2"], "--vmax only makes sense with --from"),
         (
             ["reach", "--target", "1,x"],
             "--target wants comma-separated nonnegative integers, got '1,x'",
@@ -490,7 +523,10 @@ def test_unknown_subcommand_exits_2():
             "--from wants comma-separated nonnegative integers, got 'x'",
         ),
     ],
-    ids=["random-no-seed", "seed-not-random", "steps", "kmax", "vmax", "target", "from"],
+    ids=[
+        "random-no-seed", "seed-not-random", "steps", "kmax", "vmax",
+        "vmax-without-from", "target", "from",
+    ],
 )
 def test_flag_errors_come_before_validation(capsys, tmp_path, argv, message):
     bad = tmp_path / "bad.snp"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gensys import make_random_system
-from snpkit.cli import main
+from snpkit.cli import json_default, main
 from snpkit.engine import (
     MODES,
     SimState,
@@ -283,7 +283,7 @@ def test_idle_steps_deliver_delayed_production():
 
 def test_trace_json_lines(example3):
     tr = run_trace(example3, 2, mode="paper-trace")
-    lines = tr.to_json_lines().splitlines()
+    lines = [json.dumps(r, default=json_default) for r in tr.records]
     assert len(lines) == 3
     first = json.loads(lines[0])
     assert set(first) == {"k", "C", "Sp", "Iv", "St", "DSt", "NG", "emitted"}

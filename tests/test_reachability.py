@@ -8,6 +8,7 @@ also checked against the rational walk it replaced, kept below as a
 test-only reference.
 """
 
+import json
 import random
 from math import comb
 from unittest import mock
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import snpkit.reachability as reachability
 from conftest import SYSTEMS_DIR
 from gensys import make_random_system
+from snpkit.cli import json_default
 from snpkit.engine import (
     enumerate_spiking_vectors,
     is_valid_spiking_vector,
@@ -171,9 +173,9 @@ def _assert_matches_reference(sys, C_from, C_to, k_max):
     found = _reference_enumerate_nonneg(M, vec_sub(C_to, C_from), k_max * M.cols)
     expected = sorted(set(found), key=lambda s: (sum(s), s))
     assert sum_vector_solutions(M, C_from, C_to, k_max) == expected
-    cert = reach_between(sys, C_from, C_to, k_max).to_json()
+    cert = reach_between(sys, C_from, C_to, k_max)
     with mock.patch.object(reachability, "_enumerate_nonneg", _reference_enumerate_nonneg):
-        assert reach_between(sys, C_from, C_to, k_max).to_json() == cert
+        assert reach_between(sys, C_from, C_to, k_max) == cert
 
 
 _SHAPES = {
@@ -399,16 +401,14 @@ def test_initial_config_reachable_in_zero_steps(example1):
 
 
 def test_certificate_json_round_trip(example1):
-    import json
-
     cert = is_reachable(example1, (2, 1, 2), k_max=2)
-    blob = json.loads(cert.to_json())
+    blob = json.loads(json.dumps(cert, default=json_default))
     assert blob["verdict"] == "reachable"
     assert blob["k"] == 1
     assert blob["configs"] == [[2, 1, 1], [2, 1, 2]]
     assert blob["spiking_vectors"] == [[1, 0, 1, 1, 0]]
     cert2 = is_reachable(example1, (2, 0, 2), k_max=2)
-    blob2 = json.loads(cert2.to_json())
+    blob2 = json.loads(json.dumps(cert2, default=json_default))
     assert blob2["verdict"] == "not-reachable-within-bounds"
     assert blob2["failures"]
     assert all(

@@ -1,0 +1,59 @@
+"""The scripts under scripts/, each run as a subprocess.
+
+Every script exits 0 without a traceback, and formula_report takes the
+gating identity at the states its trace really passed through.
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+from conftest import REPO_ROOT
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        cwd=str(REPO_ROOT),
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["derive_goldens.py"], ["formula_report.py"], ["interval_census.py", "--max-depth", "4"]],
+    ids=["derive_goldens", "formula_report", "interval_census"],
+)
+def test_script_exits_0_without_traceback(argv):
+    proc = run_script(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.strip()
+
+
+def _sections(out: str) -> dict[str, list[str]]:
+    sections: dict[str, list[str]] = {}
+    lines: list[str] = []
+    for line in out.splitlines():
+        if line.startswith("== "):
+            lines = sections.setdefault(line, [])
+        elif line:
+            lines.append(line)
+    return sections
+
+
+def test_formula_report_gating_identity_at_replayed_states():
+    sections = _sections(run_script("formula_report.py").stdout)
+    gating = "== gating identity at each recorded state, mode={} =="
+    # paper-trace, k=4: the trace fired (1, 0, 0, 1), so it must be listed
+    assert (
+        "k=4 Sp=(1, 0, 0, 1): receiver-gated (-1, 1, 0) owner-gated (-1, 1, 0) holds"
+        in sections[gating.format("paper-trace")]
+    )
+    # standard, k=2: the delayed rule's release is due, so Iv carries it
+    assert (
+        "k=2 Sp=(1, 0, 0, 0): receiver-gated (-1, 2, 0) owner-gated (-1, 1, 0) SPLITS"
+        in sections[gating.format("standard")]
+    )
