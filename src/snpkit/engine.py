@@ -358,12 +358,14 @@ class Trace:
 
 
 def _step_matrices(sys: SNPSystem):
-    """M, PM, CM and the per-rule environment emission amounts (the
-    augmented matrix's last column, 0s when there is no out neuron)."""
+    """M, PM, CM and the (rule, amount) pairs of the nonzero environment
+    emissions (the augmented matrix's last column; none without an out
+    neuron)."""
     if sys.out_neuron is None:
-        env = (0,) * sys.rule_count
+        env = ()
     else:
-        env = augmented_matrix(sys).column(sys.neuron_count)
+        column = augmented_matrix(sys).column(sys.neuron_count)
+        env = tuple((i, e) for i, e in enumerate(column) if e)
     return spiking_matrix(sys), production_matrix(sys), consumption_matrix(sys), env
 
 
@@ -385,7 +387,7 @@ def _make_record(
         St=st_rec,
         DSt=rec_dst,
         NG=vec_sub(c_next, state.config),
-        emitted=sum(e * b for e, b in zip(env, iv)),
+        emitted=sum(e * iv[i] for i, e in env),
     )
     return record, replace(nxt, config=c_next)
 
@@ -586,7 +588,6 @@ def check_step_identities(
     sys: SNPSystem,
     state: SimState,
     mode: str = "standard",
-    st_next: tuple[int, ...] | None = None,
 ) -> IdentityReport:
     """For every valid spiking vector at `state`, compare the one-step
     results of the v1 and v2 formulas and the operational oracle, and
@@ -595,11 +596,11 @@ def check_step_identities(
     asserted: the identity genuinely fails on states where a closed
     neuron's column and an open producer's row meet.
 
-    v2 needs the status at k+1.  Self-contained calls use the carry
-    status implied by each candidate; a caller replaying a recorded
-    trace can pass the status the trace actually recorded at k+1 via
-    `st_next` (the two differ when the next step itself fires a delayed
-    rule and closures are recorded at firing time)."""
+    v2 needs the status at k+1; it takes the carry status implied by
+    each candidate.  The status a trace records at k+1 can differ (when
+    the next step itself fires a delayed rule and closures are recorded
+    at firing time); formula_comparison_report covers that reading
+    along a recorded trace."""
     M, PM, CM, _env = _step_matrices(sys)
     entries = []
     for sp in enumerate_spiking_vectors(sys, state.config, state.st):
@@ -608,9 +609,7 @@ def check_step_identities(
         lhs = hadamard(st_rec, M.vecmat(iv))
         rhs = M.vecmat(hadamard(rst, iv))
         v1 = step_with_delay_v1(state.config, sp, iv, st_rec, PM, CM)
-        v2 = step_with_delay_v2(
-            state.config, iv, nxt.st if st_next is None else st_next, M
-        )
+        v2 = step_with_delay_v2(state.config, iv, nxt.st, M)
         oracle = operational_step(sys, state, sp, mode).config
         entries.append(
             StepIdentityEntry(

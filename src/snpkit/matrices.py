@@ -52,10 +52,6 @@ class IntMatrix:
         if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
             raise ValueError("data shape does not match rows x cols")
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.data[i][j]
-
     @cached_property
     def sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The nonzero (column, value) pairs of each row, in column order."""

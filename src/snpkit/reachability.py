@@ -4,9 +4,10 @@ A target C is k-reachable iff C - C(0) = s . M for some s that splits
 into k valid spiking vectors applied in sequence.  The pipeline:
 
   1. solve the integer linear system s . M = C - C(0) exactly: one
-     rational row reduction gives integer pivot rows over the free
-     variables, which a pruned integer-only walk enumerates up to the
-     bound sum(s) <= k_max * m that any k_max-step path must satisfy;
+     fraction-free elimination gives integer pivot rows over the free
+     variables with one common denominator, which a pruned integer-only
+     walk enumerates up to the bound sum(s) <= k_max * m that any
+     k_max-step path must satisfy;
   2. try to decompose each candidate s, smallest first, by a
      breadth-first search over residuals (full backtracking: the
      residual determines the configuration, so visited residuals prune
@@ -25,8 +26,6 @@ production is lost to a closure that no later mask cancels).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from .engine import (
     Trace,
@@ -53,78 +52,76 @@ __all__ = [
 ]
 
 
-# --- linear algebra over exact numbers ----------------------------------------
+# --- linear algebra over exact integers ----------------------------------------
 
 
-def _rref_parametrize(M: IntMatrix, delta: tuple[int, ...]):
-    """Row-reduce the equations s . M = delta over Q.
+def _integer_rref(M: IntMatrix, delta: tuple[int, ...]):
+    """Row-reduce the equations s . M = delta without leaving the integers.
 
-    Returns (free, exprs) where exprs[c] for a pivot column c is
-    (const, {free_col: coef}) meaning s_c = const - sum(coef * s_f), or
-    None when the system is inconsistent."""
+    Integer-preserving Gauss-Jordan elimination (Bareiss 1968): each pivot
+    step rewrites every other row as (x * pivot - f * y) // previous
+    pivot, a division that is always exact, and leaves the last pivot on
+    the diagonal of every pivot row.  Returns (D, free, rows), where
+    D > 0 is that pivot up to sign and rows lists (c, N_c, [A_cf per free
+    f]) for each pivot column c, meaning D * s_c = N_c - sum(A_cf * s_f);
+    or None when the system is inconsistent."""
     n, m = M.rows, M.cols
     # equation j:  sum_i s_i * M[i][j] = delta[j]
-    aug = [
-        [Fraction(M.data[i][j]) for i in range(n)] + [Fraction(delta[j])]
-        for j in range(m)
-    ]
-    pivots: dict[int, int] = {}  # unknown column -> equation row
-    row = 0
+    aug = [[M.data[i][j] for i in range(n)] + [delta[j]] for j in range(m)]
+    pivots: list[int] = []  # pivot column of equation rows 0, 1, ...
+    prev = 1
     for col in range(n):
+        row = len(pivots)
         piv = next((r for r in range(row, m) if aug[r][col] != 0), None)
         if piv is None:
             continue
         aug[row], aug[piv] = aug[piv], aug[row]
-        lead = aug[row][col]
-        aug[row] = [x / lead for x in aug[row]]
+        p = aug[row]
+        lead = p[col]
         for r in range(m):
-            if r != row and aug[r][col] != 0:
+            if r != row:
                 f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots[col] = row
-        row += 1
-    for r in range(row, m):
-        if aug[r][n] != 0:
-            return None  # 0 = nonzero: no solutions at all
+                aug[r] = [(x * lead - f * y) // prev for x, y in zip(aug[r], p)]
+        prev = lead
+        pivots.append(col)
+    if any(aug[r][n] != 0 for r in range(len(pivots), m)):
+        return None  # 0 = nonzero: no solutions at all
+    sign = 1 if prev > 0 else -1
     free = [c for c in range(n) if c not in pivots]
-    exprs = {}
-    for col, r in pivots.items():
-        exprs[col] = (aug[r][n], {f: aug[r][f] for f in free if aug[r][f] != 0})
-    return free, exprs
+    rows = [
+        (col, sign * a[n], [sign * a[f] for f in free]) for col, a in zip(pivots, aug)
+    ]
+    return abs(prev), free, rows
 
 
 def _enumerate_nonneg(M: IntMatrix, delta: tuple[int, ...], bound: int):
     """All nonnegative integer s with s . M = delta and sum(s) <= bound.
 
-    One exact elimination writes each pivot row in integers as
-    L_c * s_c = N_c - sum_f A_cf * s_f over the free variables f, with
-    L_c > 0 the lcm of the row's denominators.  A depth-first walk then
-    assigns the free variables in turn (each <= bound, as every s_i >= 0)
-    and keeps, in integers only, the residuals r_c = N_c - sum A_cf * s_f
-    over the assigned f and the partial value of D * sum(s), where D is
-    the lcm of the L_c.  A leaf is a solution when every r_c is a
-    nonnegative multiple of L_c and the sum is within bound.
+    One fraction-free elimination writes each pivot row as
+    D * s_c = N_c - sum_f A_cf * s_f over the free variables f, with one
+    denominator D > 0 for every row.  A depth-first walk then assigns the
+    free variables in turn (each <= bound, as every s_i >= 0) and keeps,
+    in integers only, the residuals r_c = N_c - sum A_cf * s_f over the
+    assigned f and the partial value of D * sum(s).  A leaf is a solution
+    when every r_c is a nonnegative multiple of D and the sum is within
+    bound.
 
     Two prunes skip only subtrees that hold no solution: a pivot whose
     unassigned coefficients are all >= 0 can only fall, so r_c < 0 ends
     the subtree and A_ci > 0 caps the current s_i at r_c // A_ci; and
     when every unassigned free variable weighs >= 0 in sum(s), the
     partial sum is a lower bound on it, so the walk stops above bound."""
-    parts = _rref_parametrize(M, delta)
+    parts = _integer_rref(M, delta)
     if parts is None:
         return []
-    free, exprs = parts
+    D, free, rows = parts
     width = len(free)
-    lcms, consts, coefs = [], [], []  # per pivot row: L_c, N_c, [A_cf per free f]
-    for const, row in exprs.values():
-        L = lcm(const.denominator, *(x.denominator for x in row.values()))
-        lcms.append(L)
-        consts.append(int(const * L))
-        coefs.append([int(row.get(f, 0) * L) for f in free])
+    pivots = [col for col, _n, _a in rows]
+    consts = [n for _c, n, _a in rows]
+    coefs = [a for _c, _n, a in rows]
     # D * sum(s) = start + sum_j weight[j] * s_free[j]
-    D = lcm(*lcms)
-    start = sum(D // L * n for L, n in zip(lcms, consts))
-    weight = [D - sum(D // L * a[j] for L, a in zip(lcms, coefs)) for j in range(width)]
+    start = sum(consts)
+    weight = [D - sum(a[j] for a in coefs) for j in range(width)]
     limit = D * bound
     # per depth j: rows whose coefficients on free[j:] are all >= 0, whether
     # every weight from j on is >= 0, and the nonzero coefficients of free[j]
@@ -136,12 +133,12 @@ def _enumerate_nonneg(M: IntMatrix, delta: tuple[int, ...], bound: int):
 
     def walk(j: int, r: list[int], part: int, free_sum: int):
         if j == width:
-            if part <= limit and all(x >= 0 and x % L == 0 for x, L in zip(r, lcms)):
+            if part <= limit and all(x >= 0 and x % D == 0 for x in r):
                 s = [0] * M.rows
                 for col, v in zip(free, values):
                     s[col] = v
-                for col, x, L in zip(exprs, r, lcms):
-                    s[col] = x // L
+                for col, x in zip(pivots, r):
+                    s[col] = x // D
                 out.append(tuple(s))
             return
         hi = bound - free_sum
@@ -176,13 +173,13 @@ def sum_vector_solutions(
     k_max: int,
 ) -> list[tuple[int, ...]]:
     """Candidate sum vectors for reaching C_target in <= k_max steps,
-    deduplicated and sorted by (sum, lexicographic)."""
+    sorted by (sum, lexicographic); distinct free assignments give
+    distinct s, so the list has no repeats."""
     if len(C0) != M.cols or len(C_target) != M.cols:
         raise ValueError("configuration length does not match matrix columns")
     delta = vec_sub(C_target, C0)
     bound = k_max * M.cols
-    found = sorted(set(_enumerate_nonneg(M, delta, bound)), key=lambda s: (sum(s), s))
-    return found
+    return sorted(_enumerate_nonneg(M, delta, bound), key=lambda s: (sum(s), s))
 
 
 # --- decomposition into valid spiking vectors ----------------------------------
@@ -226,40 +223,36 @@ def _greedy_table(
 ) -> tuple[tuple[TrialRow, ...], str]:
     """Single-path walk recording why this candidate gets stuck: prefer
     any choice that keeps the residual nonnegative, otherwise show the
-    first violating subtraction."""
+    first violating subtraction.  Called only after the breadth-first
+    search has failed, of which this walk is one path, so it never
+    empties the residual."""
     ones = (1,) * sys.neuron_count
     residual = s_bar
     config = C0
     rows: list[TrialRow] = []
     step = 0
-    while any(residual):
+    while True:
         cands = enumerate_spiking_vectors(sys, config, ones)
         usable = [
             sp for sp in cands if all(b <= r for b, r in zip(sp, residual))
         ]
-        if usable:
-            sp = usable[0]
-            residual = vec_sub(residual, sp)
-            config = step_no_delay(config, sp, M)
-            rows.append(TrialRow(step, residual, sp, config, None))
-            step += 1
-            continue
-        if not cands:
-            reason = "not a valid spiking vector"
-            rows.append(TrialRow(step, residual, None, config, reason))
-        elif all(x in (0, 1) for x in residual):
-            # the leftover is itself one spiking vector's worth, but it
-            # cannot fire at this configuration
-            reason = "not a valid spiking vector"
-            rows.append(TrialRow(step, residual, None, config, reason))
-        else:
-            reason = "not a valid sum vector"
-            trial = cands[0]
-            rows.append(
-                TrialRow(step, vec_sub(residual, trial), trial, config, reason)
-            )
-        return tuple(rows), reason
-    return tuple(rows), "exhausted"
+        if not usable:
+            break
+        sp = usable[0]
+        residual = vec_sub(residual, sp)
+        config = step_no_delay(config, sp, M)
+        rows.append(TrialRow(step, residual, sp, config, None))
+        step += 1
+    if not cands or all(x in (0, 1) for x in residual):
+        # nothing fires, or the leftover is itself one spiking vector's
+        # worth but cannot fire at this configuration
+        reason = "not a valid spiking vector"
+        rows.append(TrialRow(step, residual, None, config, reason))
+    else:
+        reason = "not a valid sum vector"
+        trial = cands[0]
+        rows.append(TrialRow(step, vec_sub(residual, trial), trial, config, reason))
+    return tuple(rows), reason
 
 
 def decompose_sum_vector(

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, golden output, schema conformance.
 
-Most tests drive cli.main in-process and capture stdout; one subprocess
-test covers the module entry point end to end.  Every JSON output is
-validated against the schemas shipped under docs/schemas.
+Most tests drive cli.main in-process and capture stdout; subprocess
+tests cover the module entry point end to end and what importing the CLI
+loads.  Every JSON output is validated against the schemas shipped under
+docs/schemas.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -556,3 +558,20 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "k=5 C=(0, 1, 0)" in proc.stdout
+
+
+def test_cli_import_loads_no_rational_arithmetic():
+    # every query pays the CLI's imports; the arithmetic is integer only
+    code = (
+        "import sys, snpkit.cli; "
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=str(REPO_ROOT),
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -384,22 +384,6 @@ def test_v2_status_reading_splits_on_lookahead_closure(example3):
     assert bad.actual_next == (1, 0, 1)
 
 
-def test_check_step_identities_accepts_explicit_next_status(example3):
-    # entering k=3, all open; the recorded status at k=4 is (1,1,0)
-    state = SimState(
-        k=3, config=(0, 1, 0), dst=(0,) * 4, st=(1, 1, 1), pending=(None,) * 4
-    )
-    carry = check_step_identities(example3, state, mode="paper-trace")
-    assert carry.entries[0].v1_eq_v2  # carry reading agrees
-    recorded = check_step_identities(
-        example3, state, mode="paper-trace", st_next=(1, 1, 0)
-    )
-    entry = recorded.entries[0]
-    assert entry.v1_config == (1, 0, 1)
-    assert entry.v2_config == (1, 0, 0)
-    assert not entry.v1_eq_v2
-
-
 # --- exhaustive exploration -----------------------------------------------------------
 
 

@@ -3,13 +3,14 @@
 Golden values were derived by hand (solving the linear systems and
 walking the decompositions on paper) and are cross-checked here against
 bfs_oracle, which explores the computation tree directly and shares no
-code with the algebraic pipeline.  The integer candidate enumeration is
-also checked against the rational walk it replaced, kept below as a
-test-only reference.
+code with the algebraic pipeline.  The fraction-free elimination and the
+integer candidate enumeration are also checked against the rational
+elimination and walk they replaced, kept below as a test-only reference.
 """
 
 import json
 import random
+from fractions import Fraction
 from math import comb
 from unittest import mock
 
@@ -30,7 +31,7 @@ from snpkit.engine import (
 from snpkit.matrices import IntMatrix, row_rank, spiking_matrix, vec_add, vec_sub
 from snpkit.model import parse_system
 from snpkit.reachability import (
-    _rref_parametrize,
+    _integer_rref,
     bfs_oracle,
     decompose_sum_vector,
     is_reachable,
@@ -134,6 +135,63 @@ def test_many_rule_candidates_golden():
     assert cands[-1] == (2, 3, 0, 0, 2, 3, 0, 5, 0, 0)
 
 
+def _rref_parametrize(M, delta):
+    """Row-reduce the equations s . M = delta over Q.
+
+    Returns (free, exprs) where exprs[c] for a pivot column c is
+    (const, {free_col: coef}) meaning s_c = const - sum(coef * s_f), or
+    None when the system is inconsistent."""
+    n, m = M.rows, M.cols
+    # equation j:  sum_i s_i * M[i][j] = delta[j]
+    aug = [
+        [Fraction(M.data[i][j]) for i in range(n)] + [Fraction(delta[j])]
+        for j in range(m)
+    ]
+    pivots = {}  # unknown column -> equation row
+    row = 0
+    for col in range(n):
+        piv = next((r for r in range(row, m) if aug[r][col] != 0), None)
+        if piv is None:
+            continue
+        aug[row], aug[piv] = aug[piv], aug[row]
+        lead = aug[row][col]
+        aug[row] = [x / lead for x in aug[row]]
+        for r in range(m):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
+        pivots[col] = row
+        row += 1
+    for r in range(row, m):
+        if aug[r][n] != 0:
+            return None  # 0 = nonzero: no solutions at all
+    free = [c for c in range(n) if c not in pivots]
+    exprs = {}
+    for col, r in pivots.items():
+        exprs[col] = (aug[r][n], {f: aug[r][f] for f in free if aug[r][f] != 0})
+    return free, exprs
+
+
+def _assert_elimination_matches_reference(M, delta):
+    """The fraction-free elimination is the rational one scaled by D: the
+    same verdict, free variables and pivot columns, and D times each
+    rational pivot row."""
+    parts = _integer_rref(M, delta)
+    ref = _rref_parametrize(M, delta)
+    assert (parts is None) == (ref is None)
+    if parts is None:
+        return
+    D, free, rows = parts
+    ref_free, exprs = ref
+    assert D > 0
+    assert free == ref_free
+    assert [col for col, _n, _a in rows] == list(exprs)
+    for col, const, coefs in rows:
+        ref_const, ref_coefs = exprs[col]
+        assert const == D * ref_const
+        assert coefs == [D * ref_coefs.get(f, 0) for f in free]
+
+
 def _reference_enumerate_nonneg(M, delta, bound):
     """The rational walk the integer one replaced: every free assignment
     with free sum <= bound, each pivot rebuilt from Fractions at the leaf."""
@@ -170,6 +228,7 @@ def _reference_enumerate_nonneg(M, delta, bound):
 
 def _assert_matches_reference(sys, C_from, C_to, k_max):
     M = spiking_matrix(sys)
+    _assert_elimination_matches_reference(M, vec_sub(C_to, C_from))
     found = _reference_enumerate_nonneg(M, vec_sub(C_to, C_from), k_max * M.cols)
     expected = sorted(set(found), key=lambda s: (sum(s), s))
     assert sum_vector_solutions(M, C_from, C_to, k_max) == expected
@@ -196,6 +255,11 @@ rule b E=a c=1 p=1 d=0
 syn a b
 syn b a
 """, (2, 1, 0), 4),
+    # no rules at all: D = 1 and the empty sum vector is the only candidate
+    "zero-rule": ("""\
+neuron a spikes=1
+neuron b spikes=0
+""", (1, 0), 2),
     # two rules of full rank: no free variable, a single candidate
     "zero-free": ("""\
 neuron a spikes=1
@@ -213,13 +277,16 @@ def test_enumeration_shapes_match_reference(shape):
     text, target, k_max = _SHAPES[shape]
     sys = parse_system(text)
     M = spiking_matrix(sys)
-    parts = _rref_parametrize(M, vec_sub(target, sys.initial))
+    parts = _integer_rref(M, vec_sub(target, sys.initial))
     if shape == "inconsistent":
         assert parts is None
     elif shape == "rank-deficient":
-        assert row_rank(M) < min(M.rows, M.cols) and parts[0]
+        assert row_rank(M) < min(M.rows, M.cols) and parts[1]
+    elif shape == "zero-rule":
+        assert parts == (1, [], [])
+        assert sum_vector_solutions(M, sys.initial, target, k_max) == [()]
     else:
-        assert parts[0] == []
+        assert parts[1] == []
     _assert_matches_reference(sys, sys.initial, target, k_max)
 
 
@@ -231,8 +298,9 @@ def test_enumeration_shapes_match_reference(shape):
     st.sampled_from((0, 0, -1, 1, 2)),
 )
 def test_integer_enumeration_matches_fraction_reference(seed, k_max, pick, bump):
-    """Same candidate list and byte-identical certificates as the rational
-    walk, on reachable targets (bump 0) and perturbed ones."""
+    """Same elimination up to the common denominator, same candidate list
+    and byte-identical certificates as the rational walk, on reachable
+    targets (bump 0) and perturbed ones."""
     sys = make_random_system(random.Random(seed), max_rules=10, allow_delay=False)
     M = spiking_matrix(sys)
     free = len(_rref_parametrize(M, (0,) * M.cols)[0])
