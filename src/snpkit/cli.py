@@ -28,7 +28,7 @@ from .matrices import (
     struc_matrix,
     structural_report,
 )
-from .model import SNPSystem, SystemParseError, ValidationReport, parse_system, validate
+from .model import Record, SNPSystem, SystemParseError, ValidationReport, parse_system, validate
 from .reachability import ReachabilityCertificate, is_reachable, reach_between
 
 __all__ = ["main"]
@@ -105,14 +105,12 @@ def _require_valid(sys: SNPSystem, path: str):
 
 
 def json_default(obj) -> dict:
-    """The `default=` hook of every JSON print: a dataclass record becomes
-    the dict of its own fields (read by name, so cached properties kept in
-    the instance dict stay out); tuples print as arrays."""
-    try:
-        names = obj.__dataclass_fields__
-    except AttributeError:
-        raise TypeError(f"{type(obj).__name__} is not JSON serializable") from None
-    return {name: getattr(obj, name) for name in names}
+    """The `default=` hook of every JSON print: a record becomes the dict of
+    its own fields (read by name, so cached properties kept in the instance
+    dict stay out); tuples print as arrays."""
+    if not isinstance(obj, Record):
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    return {name: getattr(obj, name) for name in obj._fields}
 
 
 def _emit_json(blob) -> None:

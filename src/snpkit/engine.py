@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
 
 from .matrices import (
     IntMatrix,
@@ -47,7 +46,7 @@ from .matrices import (
     vec_add,
     vec_sub,
 )
-from .model import SNPSystem
+from .model import Record, SNPSystem
 
 __all__ = [
     "SimState",
@@ -79,8 +78,7 @@ MODES = ("standard", "paper-trace")
 POLICIES = ("first", "random", "exhaustive")
 
 
-@dataclass(frozen=True)
-class SimState:
+class SimState(Record):
     """Carry state entering step k."""
 
     k: int
@@ -305,14 +303,13 @@ def operational_step(
             for tgt in sys.targets_of[r.owner]:
                 if st_now[tgt]:  # closed neurons reject spikes
                     spikes[tgt] += r.p
-    return replace(nxt, config=tuple(spikes))
+    return SimState(nxt.k, tuple(spikes), nxt.dst, nxt.st, nxt.pending)
 
 
 # --- traces ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(Record):
     """One time point; the action fields describe the step k -> k+1 and
     are all-zero on the terminal record."""
 
@@ -326,8 +323,7 @@ class StepRecord:
     emitted: int
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     mode: str
     policy: str
     records: tuple[StepRecord, ...]
@@ -389,7 +385,7 @@ def _make_record(
         NG=vec_sub(c_next, state.config),
         emitted=sum(e * iv[i] for i, e in env),
     )
-    return record, replace(nxt, config=c_next)
+    return record, SimState(nxt.k, c_next, nxt.dst, nxt.st, nxt.pending)
 
 
 def formula_step(
@@ -470,16 +466,14 @@ def run_trace(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class TreeNode:
+class TreeNode(Record, eq=False):
     """A distinct state at its step, shared by every path reaching it."""
 
     state: SimState
     children: tuple[tuple[StepRecord, "TreeNode"], ...]
 
 
-@dataclass(frozen=True, eq=False)
-class TraceTree:
+class TraceTree(Record, eq=False):
     """The bounded computation tree as a DAG: levels[k] holds its distinct
     nodes at step k, each root-to-leaf walk is one computation.  Like its
     nodes, a tree compares by identity."""
@@ -555,8 +549,7 @@ def achievable_first_intervals(tree: TraceTree) -> set[int]:
 # --- cross-formula checks ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StepIdentityEntry:
+class StepIdentityEntry(Record):
     Sp: tuple[int, ...]
     Iv: tuple[int, ...]
     St: tuple[int, ...]
@@ -571,8 +564,7 @@ class StepIdentityEntry:
     v1_eq_oracle: bool
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     k: int
     entries: tuple[StepIdentityEntry, ...]
 
@@ -630,8 +622,7 @@ def check_step_identities(
     return IdentityReport(k=state.k, entries=tuple(entries))
 
 
-@dataclass(frozen=True)
-class FormulaComparison:
+class FormulaComparison(Record):
     """One executed step of a trace, re-derived through each formula."""
 
     k: int

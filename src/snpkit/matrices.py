@@ -21,10 +21,9 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .model import SNPSystem
+from .model import Record, SNPSystem
 
 __all__ = [
     "IntMatrix",
@@ -42,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     rows: int
     cols: int
     data: tuple[tuple[int, ...], ...]  # row-major
@@ -175,8 +173,7 @@ def row_rank(mat: IntMatrix) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class StructuralReport:
+class StructuralReport(Record):
     row_negative_counts: tuple[int, ...]  # per rule row of M
     col_negative_counts: tuple[int, ...]  # per neuron column of M
     inferred_output_neurons: tuple[int, ...]  # negative-only-row evidence

@@ -24,10 +24,10 @@ instead of raising, so a CLI can show all problems at once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .regex import (
+    Record,
     RegexSyntaxError,
     SemilinearMembership,
     compile_ast,
@@ -50,8 +50,7 @@ __all__ = [
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record, uncompared=("guard",)):
     """One rule E / a^c -> a^p ; d of its owner neuron (p = 0: forgetting)."""
 
     owner: int
@@ -59,7 +58,7 @@ class Rule:
     c: int
     p: int
     d: int
-    guard: SemilinearMembership = field(compare=False, repr=False, default=None)
+    guard: SemilinearMembership = None
 
     @property
     def is_forgetting(self) -> bool:
@@ -71,23 +70,24 @@ class Rule:
         return spikes >= self.c and self.guard.matches(spikes)
 
 
-def make_rule(owner: int, guard_src: str | None, c: int, p: int, d: int) -> Rule:
-    """Build a Rule with a compiled, canonicalized guard."""
+def make_rule(
+    owner: int, guard_src: str | None, c: int, p: int, d: int, guards: dict | None = None
+) -> Rule:
+    """Build a Rule with a compiled, canonicalized guard.  `guards` maps
+    canonical sources to the guards compiled so far (parse_system keeps one
+    per file): equal source means an equal language and lasso, so each
+    distinct guard is compiled once."""
     ast = parse_regex(guard_src) if guard_src is not None else parse_regex(
         "a" if c == 1 else f"a^{c}"
     )
-    return Rule(
-        owner=owner,
-        guard_src=print_regex(ast),
-        c=c,
-        p=p,
-        d=d,
-        guard=compile_ast(ast),
-    )
+    src = print_regex(ast)
+    guards = {} if guards is None else guards
+    if src not in guards:
+        guards[src] = compile_ast(ast)
+    return Rule(owner=owner, guard_src=src, c=c, p=p, d=d, guard=guards[src])
 
 
-@dataclass(frozen=True)
-class SNPSystem:
+class SNPSystem(Record):
     neuron_names: tuple[str, ...]
     initial: tuple[int, ...]  # spikes per neuron at k = 0
     rules: tuple[Rule, ...]
@@ -150,6 +150,7 @@ def parse_system(text: str) -> SNPSystem:
     names: list[str] = []
     initial: list[int] = []
     rules: list[Rule] = []
+    guards: dict[str, SemilinearMembership] = {}
     syn: list[tuple[int, int]] = []
     seen_syn: set[tuple[int, int]] = set()
     out_neuron: int | None = None
@@ -198,7 +199,7 @@ def parse_system(text: str) -> SNPSystem:
             except ValueError:  # more digits than int() converts
                 err("c, p and d have too many digits to convert", lineno)
             try:
-                rules.append(make_rule(owner, m["regex"], c, p, d))
+                rules.append(make_rule(owner, m["regex"], c, p, d, guards))
             except RegexSyntaxError as exc:
                 err(f"bad guard regex: {exc}", lineno)
         elif kind == "syn":
@@ -234,16 +235,14 @@ def parse_system(text: str) -> SNPSystem:
     )
 
 
-@dataclass(frozen=True)
-class ReportEntry:
+class ReportEntry(Record):
     severity: str  # "error"
     code: str
     message: str
     location: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     entries: tuple[ReportEntry, ...]
 
     @property

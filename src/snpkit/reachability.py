@@ -25,8 +25,6 @@ production is lost to a closure that no later mask cancels).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .engine import (
     Trace,
     enumerate_spiking_vectors,
@@ -34,7 +32,7 @@ from .engine import (
     step_no_delay,
 )
 from .matrices import IntMatrix, hadamard, spiking_matrix, vec_sub
-from .model import SNPSystem
+from .model import Record, SNPSystem
 
 __all__ = [
     "sum_vector_solutions",
@@ -185,8 +183,7 @@ def sum_vector_solutions(
 # --- decomposition into valid spiking vectors ----------------------------------
 
 
-@dataclass(frozen=True)
-class TrialRow:
+class TrialRow(Record):
     """One row of the illustrative decomposition table."""
 
     step: int
@@ -196,15 +193,13 @@ class TrialRow:
     note: str | None
 
 
-@dataclass(frozen=True)
-class CandidateFailure:
+class CandidateFailure(Record):
     s_bar: tuple[int, ...]
     reason: str
     table: tuple[TrialRow, ...]
 
 
-@dataclass(frozen=True)
-class ReachabilityCertificate:
+class ReachabilityCertificate(Record):
     verdict: str  # "reachable" | "not-reachable-within-bounds" | "invalid-target"
     k: int | None = None
     configs: tuple[tuple[int, ...], ...] | None = None
@@ -429,16 +424,14 @@ def bfs_oracle(
 # --- closed form along delayed traces ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosedFormEntry:
+class ClosedFormEntry(Record):
     prefix: int  # uses records 0..prefix, predicts C(prefix+1)
     predicted: tuple[int, ...]
     actual: tuple[int, ...]
     agrees: bool
 
 
-@dataclass(frozen=True)
-class ClosedFormReport:
+class ClosedFormReport(Record):
     entries: tuple[ClosedFormEntry, ...]
 
     @property

@@ -22,7 +22,7 @@ syntax error so users cannot write a plain lambda literal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 __all__ = [
     "Literal",
@@ -39,25 +39,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Literal:
+class Record:
+    """Base of snpkit's immutable records: annotations name the fields, class
+    attributes give defaults.  Eq and hash go by value unless ``eq=False``;
+    fields named in ``uncompared`` stay out of eq, hash and repr."""
+
+    def __init_subclass__(cls, eq: bool = True, uncompared: tuple[str, ...] = ()):
+        cls._fields = names = tuple(cls.__dict__.get("__annotations__", ()))
+        # straight-line code: a loop over the fields would run per instance
+        body = "".join(f"\n object.__setattr__(self, {n!r}, {n})" for n in names)
+        body += "\n self.__post_init__()" if "__post_init__" in cls.__dict__ else ""
+        params = ", ".join(f"{n}=_d[{n!r}]" if n in cls.__dict__ else n for n in names)
+        exec(f"def __init__(self, {params}):{body}", ns := {"_d": cls.__dict__})
+        cls.__init__ = ns["__init__"]
+        cls._shown = shown = tuple(n for n in names if n not in uncompared)
+        key = attrgetter(*shown) if len(shown) > 1 else lambda s, g=attrgetter(*shown): (g(s),)
+        if eq:
+            cls.__hash__ = lambda self: hash(key(self))
+            cls.__eq__ = lambda a, b: key(a) == key(b) if type(b) is type(a) else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Literal(Record):
     """a^count; count 0 denotes the empty word (internal / starred only)."""
 
     count: int
 
 
-@dataclass(frozen=True)
-class Concat:
+class Concat(Record):
     parts: tuple
 
 
-@dataclass(frozen=True)
-class Union:
+class Union(Record):
     parts: tuple
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(Record):
     child: object
 
 
@@ -273,8 +298,7 @@ def nfa_matches(ast: RegexAst, n: int) -> bool:
     return out in frontier
 
 
-@dataclass(frozen=True)
-class SemilinearMembership:
+class SemilinearMembership(Record):
     """Ultimately periodic membership table for a unary language.
 
     matches(n) is tail[n] for n < threshold and cycle[(n - threshold) %
@@ -309,6 +333,10 @@ class SemilinearMembership:
 
 def compile_ast(ast: RegexAst) -> SemilinearMembership:
     """Determinize the unary NFA and extract the minimal lasso."""
+    if isinstance(ast, Literal) and ast.count >= 0:
+        # the lasso of a^k is known without its k-state chain
+        k = ast.count
+        return SemilinearMembership(k + 1, 1, (False,) * k + (True,), (False,), k + 2)
     eps, step, entry, out = _build_nfa(ast)
     start = _closure(eps, frozenset([entry]))
     seen: dict[frozenset[int], int] = {start: 0}

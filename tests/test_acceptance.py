@@ -8,7 +8,6 @@ in it held; a failed criterion shows up as a failed test.  Criteria 1,
 
 import random
 import time
-from dataclasses import replace
 
 from gensys import make_random_system
 from snpkit.engine import (
@@ -112,7 +111,8 @@ def test_acceptance_3_no_delay_stepping(example1):
 
     def compare_all_steps(sys, mat, config, depth):
         nonlocal checked
-        state = replace(initial_state(sys), config=config)
+        init = initial_state(sys)
+        state = SimState(init.k, config, init.dst, init.st, init.pending)
         for sp in enumerate_spiking_vectors(sys, config, state.st):
             formula = step_no_delay(config, sp, mat)
             oracle = operational_step(sys, state, sp).config

@@ -561,10 +561,11 @@ def test_module_entry_point_subprocess():
 
 
 def test_cli_import_loads_no_rational_arithmetic():
-    # every query pays the CLI's imports; the arithmetic is integer only
+    # every query pays the CLI's imports: the arithmetic is integer only,
+    # and records are built without dataclasses (which imports inspect)
     code = (
         "import sys, snpkit.cli; "
-        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        "print(sorted({'fractions', 'decimal', 'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

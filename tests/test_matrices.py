@@ -1,6 +1,5 @@
 """Matrix builders, exact rank, and the structural report."""
 
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -168,7 +167,7 @@ def test_sparse_vecmat_matches_dense_reference(case):
     assert m.vecmat(v) == expected
     assert m.vecmat(v) == expected  # second product reuses the cached rows
     assert m == fresh and hash(m) == hash(fresh)
-    assert dataclasses.asdict(m) == {"rows": m.rows, "cols": m.cols, "data": m.data}
+    assert json_default(m) == {"rows": m.rows, "cols": m.cols, "data": m.data}
     with pytest.raises(ValueError):
         m.vecmat(v + (1,))
 

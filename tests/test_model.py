@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gensys import make_random_system
+from snpkit import model
 from snpkit.model import (
     SNPSystem,
     SystemParseError,
@@ -14,6 +15,7 @@ from snpkit.model import (
     serialize_system,
     validate,
 )
+from snpkit.regex import compile_ast
 
 
 def test_parse_first_golden_system(example1):
@@ -162,6 +164,27 @@ def test_serialize_normalizes_guard_spelling():
     assert a == b
     assert serialize_system(a) == serialize_system(b)
     assert "E=a^2" in serialize_system(a)
+
+
+def test_each_distinct_guard_is_compiled_once_per_file(monkeypatch):
+    compiled = []
+
+    def counting(ast):
+        compiled.append(ast)
+        return compile_ast(ast)
+
+    monkeypatch.setattr(model, "compile_ast", counting)
+    text = (
+        "neuron x spikes=1\nneuron y spikes=0\n"
+        "rule x E=aa c=2 p=1 d=0\nrule x E=a^2 c=1 p=1 d=0\nrule y c=2 p=0 d=0\n"
+        "rule x E=a(a^2)* c=1 p=1 d=0\nrule y E=a(aa)* c=1 p=1 d=0\n"
+    )
+    s = parse_system(text)
+    assert len(compiled) == 2  # a^2 spelled three ways, a(a^2)* two ways
+    assert s.rules[0].guard is s.rules[1].guard is s.rules[2].guard
+    assert s.rules[3].guard is s.rules[4].guard
+    parse_system(text)  # a new file compiles its own guards
+    assert len(compiled) == 4
 
 
 @given(seed=st.integers(min_value=0, max_value=10**9))

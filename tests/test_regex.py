@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from snpkit import regex
 from snpkit.regex import (
     MAX_NESTING,
     Concat,
@@ -199,6 +200,27 @@ def test_three_routes_agree(ast, n):
     want = n in lang_upto(ast)
     assert nfa_matches(ast, n) == want
     assert compile_ast(ast).matches(n) == want
+
+
+@given(k=st.integers(min_value=0, max_value=300), n=st.integers(min_value=0, max_value=400))
+@settings(max_examples=200, deadline=None)
+def test_literal_lasso_matches_nfa_route(k, n):
+    m = compile_ast(Literal(k))
+    # a one-part Concat builds the literal's own NFA chain and walks it
+    assert m == compile_ast(Concat((Literal(k),)))  # state_count included
+    assert m.matches(n) == nfa_matches(Literal(k), n) == (n == k)
+
+
+def test_literal_guard_compiles_without_nfa(monkeypatch):
+    def no_nfa(ast):
+        raise AssertionError(f"{print_regex(ast)} was expanded into NFA states")
+
+    monkeypatch.setattr(regex, "_build_nfa", no_nfa)
+    m = compile_regex("a^3000000")
+    assert (m.threshold, m.period, m.cycle, m.state_count) == (3000001, 1, (False,), 3000002)
+    assert m.matches(3000000) and not m.matches(2999999) and not m.matches(3000001)
+    with pytest.raises(AssertionError):  # everything else still takes the NFA route
+        compile_regex("a^3*")
 
 
 @given(ast=asts)
