@@ -2,11 +2,12 @@
 
 Row indices are rule indices, column indices are neuron indices, both in
 declaration order.  All arithmetic is over Python ints (and stays exact);
-rank is computed with fraction-free elimination so no rationals are ever
-materialized.  Products (`IntMatrix.vecmat`) visit only the nonzero entries
-of the rows whose entry in the vector is nonzero, as sparse-matrix SN P
-simulators do, so a step costs the rules fired times their out-degree; the
-dense rows remain for display, JSON and rank.
+rank is computed by a sparse elimination that divides each new row by its
+gcd, so no rationals are ever materialized.  Products (`IntMatrix.vecmat`)
+visit only the nonzero entries of the rows whose entry in the vector is
+nonzero, as sparse-matrix SN P simulators do, so a step costs the rules
+fired times their out-degree; rank reads the same sparse rows, and the
+dense rows remain for display and JSON.
 
 Conventions:
   spiking_matrix      n x m: -c in the owner column, +p in each synaptic
@@ -22,6 +23,7 @@ Conventions:
 from __future__ import annotations
 
 from functools import cached_property
+from math import gcd
 
 from .model import Record, SNPSystem
 
@@ -152,24 +154,31 @@ def struc_matrix(sys: SNPSystem) -> IntMatrix:
 
 
 def row_rank(mat: IntMatrix) -> int:
-    """Rank over Q by Bareiss fraction-free elimination (exact ints only)."""
-    a = [list(row) for row in mat.data]
+    """Rank over Q by sparse exact elimination (ints only, rows as dicts).
+
+    Each step pivots on the remaining row with the fewest nonzeros, at its
+    first column (the row count of Markowitz's rule, to limit fill-in),
+    and replaces every row r holding that column by pc*r - rc*p divided by
+    the gcd of its entries.  Scaling a row by a nonzero integer keeps the rank over Q,
+    so the result is exact and the entries stay small.
+    """
+    rows = [dict(r) for r in mat.sparse_rows if r]
     rank = 0
-    prev = 1
-    for c in range(mat.cols):
-        piv = next((i for i in range(rank, mat.rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        for i in range(rank + 1, mat.rows):
-            for j in range(c + 1, mat.cols):
-                # exact by Sylvester's determinant identity
-                a[i][j] = (a[i][j] * a[rank][c] - a[i][c] * a[rank][j]) // prev
-            a[i][c] = 0
-        prev = a[rank][c]
+    while rows:
+        p = min(rows, key=len)
+        rows.remove(p)
+        c = min(p)
+        pc = p[c]
         rank += 1
-        if rank == mat.rows:
-            break
+        for i, r in enumerate(rows):
+            rc = r.get(c)
+            if rc:
+                new = {j: pc * x for j, x in r.items()}
+                for j, y in p.items():
+                    new[j] = new.get(j, 0) - rc * y
+                g = gcd(*new.values())
+                rows[i] = {j: x // g for j, x in new.items() if x}
+        rows = [r for r in rows if r]
     return rank
 
 

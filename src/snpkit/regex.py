@@ -298,18 +298,20 @@ def nfa_matches(ast: RegexAst, n: int) -> bool:
     return out in frontier
 
 
-class SemilinearMembership(Record):
+class SemilinearMembership(Record, uncompared=("state_count",)):
     """Ultimately periodic membership table for a unary language.
 
-    matches(n) is tail[n] for n < threshold and cycle[(n - threshold) %
-    period] otherwise.  threshold and period are minimal, so equal
+    matches(n) is n in tail for n < threshold and cycle[(n - threshold) %
+    period] otherwise; tail holds the accepted counts below threshold and
+    cycle is one period.  threshold and period are minimal, so equal
     languages compile to equal objects.  state_count is the number of
-    distinct subset states along the determinized run (tail + cycle).
+    distinct subset states along the determinized run, which depends on
+    the expression, so it stays out of eq, hash and repr.
     """
 
     threshold: int
     period: int
-    tail: tuple[bool, ...]
+    tail: frozenset[int]
     cycle: tuple[bool, ...]
     state_count: int
 
@@ -317,14 +319,12 @@ class SemilinearMembership(Record):
         if n < 0:
             raise ValueError("n must be nonnegative")
         if n < self.threshold:
-            return self.tail[n]
+            return n in self.tail
         return self.cycle[(n - self.threshold) % self.period]
 
     def finite_language(self) -> frozenset[int] | None:
         """The accepted set if finite, else None."""
-        if any(self.cycle):
-            return None
-        return frozenset(i for i, acc in enumerate(self.tail) if acc)
+        return None if any(self.cycle) else self.tail
 
     def is_singleton(self, n: int) -> bool:
         """True iff the language is exactly {n}."""
@@ -336,7 +336,7 @@ def compile_ast(ast: RegexAst) -> SemilinearMembership:
     if isinstance(ast, Literal) and ast.count >= 0:
         # the lasso of a^k is known without its k-state chain
         k = ast.count
-        return SemilinearMembership(k + 1, 1, (False,) * k + (True,), (False,), k + 2)
+        return SemilinearMembership(k + 1, 1, frozenset((k,)), (False,), k + 2)
     eps, step, entry, out = _build_nfa(ast)
     start = _closure(eps, frozenset([entry]))
     seen: dict[frozenset[int], int] = {start: 0}
@@ -363,14 +363,13 @@ def compile_ast(ast: RegexAst) -> SemilinearMembership:
     threshold = t_raw
     while threshold > 0 and accepts[threshold - 1] == cyc[(threshold - 1 - t_raw) % period]:
         threshold -= 1
-    # rotate so cycle[0] corresponds to n = threshold
+    # one period, rotated so cycle[0] corresponds to n = threshold
     off = (threshold - t_raw) % period
-    cycle = tuple(cyc[off:] + cyc[:off])
     return SemilinearMembership(
         threshold=threshold,
         period=period,
-        tail=tuple(accepts[:threshold]),
-        cycle=cycle,
+        tail=frozenset(n for n in range(threshold) if accepts[n]),
+        cycle=tuple(cyc[(off + i) % p_raw] for i in range(period)),
         state_count=len(accepts),
     )
 

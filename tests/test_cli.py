@@ -103,6 +103,16 @@ def test_deeply_nested_guard_exit_2_without_traceback(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_huge_bare_literal_guard_validates(capsys, tmp_path):
+    # a^k's lasso holds the one accepted count, not k booleans
+    big = tmp_path / "big.snp"
+    big.write_text(f"neuron a spikes=1\nrule a E=a^{10**20 - 1} c=1 p=1 d=0\n")
+    code, out, err = run_cli(capsys, "validate", str(big))
+    assert code == 0
+    assert out.startswith(f"{big}: ok")
+    assert "Traceback" not in err
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "validate", "no-such-file.snp")
     assert code == 2

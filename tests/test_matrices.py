@@ -39,6 +39,29 @@ def rank_by_fractions(mat: IntMatrix) -> int:
     return rank
 
 
+def rank_by_bareiss(mat: IntMatrix) -> int:
+    """Dense Bareiss fraction-free elimination over every cell, the route
+    `row_rank` took before it went sparse (reference)."""
+    a = [list(row) for row in mat.data]
+    rank = 0
+    prev = 1
+    for c in range(mat.cols):
+        piv = next((i for i in range(rank, mat.rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, mat.rows):
+            for j in range(c + 1, mat.cols):
+                # exact by Sylvester's determinant identity
+                a[i][j] = (a[i][j] * a[rank][c] - a[i][c] * a[rank][j]) // prev
+            a[i][c] = 0
+        prev = a[rank][c]
+        rank += 1
+        if rank == mat.rows:
+            break
+    return rank
+
+
 # --- golden matrices ---------------------------------------------------------
 
 
@@ -269,3 +292,60 @@ mats = st.integers(min_value=1, max_value=6).flatmap(
 @settings(max_examples=300, deadline=None)
 def test_bareiss_rank_matches_fraction_elimination(mat):
     assert row_rank(mat) == rank_by_fractions(mat)
+
+
+def digraph_struc(n: int, edges) -> IntMatrix:
+    """A - I for the digraph on n nodes with the given (source, target) edges."""
+    data = [[-(i == j) for j in range(n)] for i in range(n)]
+    for a, b in edges:
+        if a != b:
+            data[a][b] = 1
+    return IntMatrix(n, n, tuple(map(tuple, data)))
+
+
+@st.composite
+def rank_cases(draw):
+    """Matrices of the shapes an elimination can get wrong: non-square,
+    rank-deficient, with zero rows and columns, and struc-shaped."""
+    kind = draw(st.sampled_from(["entries", "product", "struc"]))
+    if kind == "struc":
+        n = draw(st.integers(min_value=0, max_value=60))
+        node = st.integers(min_value=0, max_value=max(n - 1, 0))
+        edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+        return digraph_struc(n, edges)
+    rows = draw(st.integers(min_value=0, max_value=12))
+    cols = draw(st.integers(min_value=0, max_value=12))
+    if kind == "product":  # an r x k times k x c product has rank <= k
+        k = draw(st.integers(min_value=0, max_value=4))
+        small = st.integers(min_value=-3, max_value=3)
+        left = [[draw(small) for _ in range(k)] for _ in range(rows)]
+        right = [[draw(small) for _ in range(cols)] for _ in range(k)]
+        data = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] if k else [0] * cols
+                for row in left]
+    else:
+        entry = st.one_of(st.just(0), st.integers(min_value=-50, max_value=50))
+        data = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    index = lambda size: st.sets(st.integers(min_value=0, max_value=size - 1)) if size else st.just(set())
+    zero_rows, zero_cols = draw(index(rows)), draw(index(cols))
+    data = [
+        [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(data)
+    ]
+    return IntMatrix(rows, cols, tuple(map(tuple, data)))
+
+
+@given(mat=rank_cases())
+@settings(max_examples=400, deadline=None)
+def test_sparse_rank_matches_dense_and_rational_references(mat):
+    assert row_rank(mat) == rank_by_bareiss(mat) == rank_by_fractions(mat)
+
+
+def test_long_ring_struc_rank():
+    # A - I of a directed n-cycle has rank n - 1 (the all-ones vector spans
+    # its kernel); dense elimination takes tens of seconds at this size
+    n = 1000
+    text = "".join(f"neuron n{i} spikes=0\n" for i in range(n))
+    text += "".join(f"syn n{i} n{(i + 1) % n}\n" for i in range(n))
+    ring = struc_matrix(parse_system(text))
+    assert row_rank(ring) == n - 1
+    assert row_rank(digraph_struc(n, [(i, i + 1) for i in range(n - 1)])) == n

@@ -1,7 +1,7 @@
 """Guard regex parsing, printing, and membership compilation."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from snpkit import regex
 from snpkit.regex import (
@@ -166,7 +166,7 @@ def test_threshold_and_period_are_minimal():
     assert [n for n in range(9) if m2.matches(n)] == [0, 1, 2, 4, 6, 8]
     assert m2.period == 2
     assert m2.threshold == 2
-    assert m2.tail == (True, True)
+    assert m2.tail == frozenset((0, 1))
 
 
 def test_matches_rejects_negative():
@@ -207,7 +207,8 @@ def test_three_routes_agree(ast, n):
 def test_literal_lasso_matches_nfa_route(k, n):
     m = compile_ast(Literal(k))
     # a one-part Concat builds the literal's own NFA chain and walks it
-    assert m == compile_ast(Concat((Literal(k),)))  # state_count included
+    via_nfa = compile_ast(Concat((Literal(k),)))
+    assert m == via_nfa and m.state_count == via_nfa.state_count
     assert m.matches(n) == nfa_matches(Literal(k), n) == (n == k)
 
 
@@ -218,9 +219,41 @@ def test_literal_guard_compiles_without_nfa(monkeypatch):
     monkeypatch.setattr(regex, "_build_nfa", no_nfa)
     m = compile_regex("a^3000000")
     assert (m.threshold, m.period, m.cycle, m.state_count) == (3000001, 1, (False,), 3000002)
+    assert m.tail == m.finite_language() == frozenset((3000000,))
     assert m.matches(3000000) and not m.matches(2999999) and not m.matches(3000001)
     with pytest.raises(AssertionError):  # everything else still takes the NFA route
         compile_regex("a^3*")
+
+
+def from_lasso(m):
+    """A regex for the language of a compiled lasso: each tail count, and
+    each accepted residue of the cycle followed by a starred period."""
+    parts = [Literal(n) for n in sorted(m.tail)]
+    parts += [
+        Concat((Literal(m.threshold + i), Star(Literal(m.period))))
+        for i, acc in enumerate(m.cycle)
+        if acc
+    ]
+    return parts[0] if len(parts) == 1 else Union(tuple(parts))
+
+
+def test_equal_languages_compile_to_equal_lassos():
+    # all counts, once as a* and once as evens | odds
+    assert compile_regex("a*") == compile_regex("(aa)*|a(aa)*")
+    assert compile_regex("a^2*") == compile_regex("(a^2|a^4)*")
+
+
+@given(ast=asts)
+@example(ast=parse_regex("(aa)*|a(aa)*"))
+@example(ast=parse_regex("a*"))
+@settings(max_examples=150, deadline=None)
+def test_lasso_is_canonical(ast):
+    m = compile_ast(ast)
+    assert len(m.cycle) == m.period
+    assert m.tail <= set(range(m.threshold))
+    assert compile_ast(Union((ast, ast))) == m
+    rebuilt = compile_ast(from_lasso(m))
+    assert rebuilt == m and hash(rebuilt) == hash(m)
 
 
 @given(ast=asts)
