@@ -159,8 +159,8 @@ def row_rank(mat: IntMatrix) -> int:
     Each step pivots on the remaining row with the fewest nonzeros, at its
     first column (the row count of Markowitz's rule, to limit fill-in),
     and replaces every row r holding that column by pc*r - rc*p divided by
-    the gcd of its entries.  Scaling a row by a nonzero integer keeps the rank over Q,
-    so the result is exact and the entries stay small.
+    the gcd of its entries.  Scaling a row by a nonzero integer keeps the
+    rank over Q, so the result is exact and the entries stay small.
     """
     rows = [dict(r) for r in mat.sparse_rows if r]
     rank = 0

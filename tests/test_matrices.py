@@ -320,13 +320,15 @@ def rank_cases(draw):
         small = st.integers(min_value=-3, max_value=3)
         left = [[draw(small) for _ in range(k)] for _ in range(rows)]
         right = [[draw(small) for _ in range(cols)] for _ in range(k)]
-        data = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] if k else [0] * cols
-                for row in left]
+        data = [
+            [sum(left[i][t] * right[t][j] for t in range(k)) for j in range(cols)]
+            for i in range(rows)
+        ]
     else:
         entry = st.one_of(st.just(0), st.integers(min_value=-50, max_value=50))
         data = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
-    index = lambda size: st.sets(st.integers(min_value=0, max_value=size - 1)) if size else st.just(set())
-    zero_rows, zero_cols = draw(index(rows)), draw(index(cols))
+    zeroed = st.sets(st.integers(min_value=0, max_value=11))
+    zero_rows, zero_cols = draw(zeroed), draw(zeroed)
     data = [
         [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
         for i, row in enumerate(data)

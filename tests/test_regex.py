@@ -246,7 +246,7 @@ def test_equal_languages_compile_to_equal_lassos():
 @given(ast=asts)
 @example(ast=parse_regex("(aa)*|a(aa)*"))
 @example(ast=parse_regex("a*"))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_lasso_is_canonical(ast):
     m = compile_ast(ast)
     assert len(m.cycle) == m.period
