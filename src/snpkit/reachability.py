@@ -11,7 +11,10 @@ into k valid spiking vectors applied in sequence.  The pipeline:
   2. try to decompose each candidate s, smallest first, by a
      breadth-first search over residuals (full backtracking: the
      residual determines the configuration, so visited residuals prune
-     the search and BFS depth gives the fewest steps for that s);
+     the search and BFS depth gives the fewest steps for that s); each
+     residual keeps the configuration it was reached at, one step from
+     its parent's, and a witness's configurations and a refused
+     candidate's table are both read from that search;
   3. cross-checkable against bfs_oracle, a direct breadth-first
      exploration of the computation tree that ignores the algebra.
 
@@ -213,40 +216,28 @@ class ReachabilityCertificate(Record):
         return self.verdict == "reachable"
 
 
-def _greedy_table(
-    sys: SNPSystem, M: IntMatrix, C0: tuple[int, ...], s_bar: tuple[int, ...]
-) -> tuple[tuple[TrialRow, ...], str]:
+def _greedy_table(reached: dict, s_bar: tuple[int, ...]) -> tuple[tuple[TrialRow, ...], str]:
     """Single-path walk recording why this candidate gets stuck: prefer
     any choice that keeps the residual nonnegative, otherwise show the
-    first violating subtraction.  Called only after the breadth-first
-    search has failed, of which this walk is one path, so it never
-    empties the residual."""
-    ones = (1,) * sys.neuron_count
+    first violating subtraction.  The walk is one path of the breadth-first
+    search, which failed and so expanded every residual it reached: each
+    step is read from the search's map, and none empties the residual."""
     residual = s_bar
-    config = C0
     rows: list[TrialRow] = []
-    step = 0
     while True:
-        cands = enumerate_spiking_vectors(sys, config, ones)
-        usable = [
-            sp for sp in cands if all(b <= r for b, r in zip(sp, residual))
-        ]
-        if not usable:
+        _prev, _sp, config, usable, valid = reached[residual]
+        if usable is None:
             break
-        sp = usable[0]
-        residual = vec_sub(residual, sp)
-        config = step_no_delay(config, sp, M)
-        rows.append(TrialRow(step, residual, sp, config, None))
-        step += 1
-    if not cands or all(x in (0, 1) for x in residual):
+        residual = vec_sub(residual, usable)
+        rows.append(TrialRow(len(rows), residual, usable, reached[residual][2], None))
+    if valid is None or all(x in (0, 1) for x in residual):
         # nothing fires, or the leftover is itself one spiking vector's
         # worth but cannot fire at this configuration
         reason = "not a valid spiking vector"
-        rows.append(TrialRow(step, residual, None, config, reason))
+        rows.append(TrialRow(len(rows), residual, None, config, reason))
     else:
         reason = "not a valid sum vector"
-        trial = cands[0]
-        rows.append(TrialRow(step, vec_sub(residual, trial), trial, config, reason))
+        rows.append(TrialRow(len(rows), vec_sub(residual, valid), valid, config, reason))
     return tuple(rows), reason
 
 
@@ -265,49 +256,42 @@ def decompose_sum_vector(
         raise ValueError("sum vector entries must be nonnegative")
     M = spiking_matrix(sys)
     ones = (1,) * sys.neuron_count
-
-    def config_of(residual: tuple[int, ...]) -> tuple[int, ...]:
-        used = vec_sub(s_bar, residual)
-        return tuple(c + d for c, d in zip(C0, M.vecmat(used)))
-
     start = tuple(s_bar)
-    parent: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]] | None]
-    parent = {start: None}
-    frontier = [start]
     zero = (0,) * sys.rule_count
+    # residual -> [parent residual, Sp taken from it, configuration, then,
+    # once expanded, its first usable and first valid spiking vector]
+    reached: dict[tuple[int, ...], list] = {start: [None, None, tuple(C0)]}
+    frontier = [start]
     while frontier:
         nxt: list[tuple[int, ...]] = []
         for residual in frontier:
             if residual == zero:
                 # walk back to the start to recover the sequence
-                seq: list[tuple[int, ...]] = []
-                cur = residual
-                while parent[cur] is not None:
-                    prev, sp = parent[cur]
+                configs, seq = [], []
+                while residual is not None:
+                    residual, sp, config = reached[residual][:3]
+                    configs.append(config)
                     seq.append(sp)
-                    cur = prev
-                seq.reverse()
-                configs = [tuple(C0)]
-                for sp in seq:
-                    configs.append(step_no_delay(configs[-1], sp, M))
+                seq.pop()  # the start is reached by no spiking vector
                 return ReachabilityCertificate(
                     verdict="reachable",
                     k=len(seq),
-                    configs=tuple(configs),
-                    spiking_vectors=tuple(seq),
+                    configs=tuple(reversed(configs)),
+                    spiking_vectors=tuple(reversed(seq)),
                     s_bar=start,
                     candidates_tried=1,
                 )
-            config = config_of(residual)
-            for sp in enumerate_spiking_vectors(sys, config, ones):
-                if not all(b <= r for b, r in zip(sp, residual)):
-                    continue
+            entry = reached[residual]
+            valid = enumerate_spiking_vectors(sys, entry[2], ones)
+            usable = [sp for sp in valid if all(b <= r for b, r in zip(sp, residual))]
+            entry += [usable[0] if usable else None, valid[0] if valid else None]
+            for sp in usable:
                 child = vec_sub(residual, sp)
-                if child not in parent:
-                    parent[child] = (residual, sp)
+                if child not in reached:
+                    reached[child] = [residual, sp, step_no_delay(entry[2], sp, M)]
                     nxt.append(child)
         frontier = nxt
-    table, reason = _greedy_table(sys, M, C0, s_bar)
+    table, reason = _greedy_table(reached, start)
     return ReachabilityCertificate(
         verdict="not-reachable-within-bounds",
         failures=(CandidateFailure(start, reason, table),),

@@ -17,7 +17,9 @@ Grammar (no whitespace; offsets in error messages are byte offsets)::
 
 ``a^k`` denotes k consecutive a's.  ``a^0`` (the empty word) is only
 accepted when the factor is starred, e.g. ``a^0*``; a bare ``a^0`` is a
-syntax error so users cannot write a plain lambda literal.
+syntax error so users cannot write a plain lambda literal.  An expression
+whose literals spell more than MAX_CHAIN a's in all is refused unless it
+is one literal, whose lasso needs no NFA chain.
 """
 
 from __future__ import annotations
@@ -88,6 +90,7 @@ class Star(Record):
 
 RegexAst = Literal | Concat | Union | Star
 MAX_NESTING = 100  # parentheses nested deeper are refused, not recursed into
+MAX_CHAIN = 10**6  # a's an NFA may chain; only a lone literal, compiled in O(1), spells more
 
 
 class RegexSyntaxError(ValueError):
@@ -103,6 +106,8 @@ class _Parser:
         self.src = src
         self.pos = 0
         self.depth = 0
+        self.chain = 0  # a's spelled out so far
+        self.over: int | None = None  # offset of the literal that passed MAX_CHAIN
 
     def peek(self) -> str | None:
         return self.src[self.pos] if self.pos < len(self.src) else None
@@ -114,6 +119,9 @@ class _Parser:
         node = self.union()
         if self.pos != len(self.src):
             self.fail(f"unexpected {self.src[self.pos]!r}")
+        if self.over is not None and not isinstance(node, Literal):
+            msg = f"more than {MAX_CHAIN} a's in literals; only a lone a^k may be longer"
+            self.fail(msg, self.over)
         return node
 
     def union(self) -> RegexAst:
@@ -153,11 +161,15 @@ class _Parser:
     def base(self) -> RegexAst:
         ch = self.peek()
         if ch == "a":
+            at, count = self.pos, 1
             self.pos += 1
             if self.peek() == "^":
-                self.pos += 1
-                return Literal(self.uint())
-            return Literal(1)
+                self.pos = at = at + 2
+                count = self.uint()
+            self.chain += count
+            if self.chain > MAX_CHAIN and self.over is None:
+                self.over = at
+            return Literal(count)
         if ch == "(":
             if self.depth == MAX_NESTING:
                 self.fail(f"parentheses nested deeper than {MAX_NESTING}")

@@ -113,6 +113,20 @@ def test_huge_bare_literal_guard_validates(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_huge_literal_inside_star_exit_2_without_traceback(capsys, tmp_path):
+    # inside a star the literal would need its NFA chain, so the parser
+    # refuses it instead of running out of memory
+    big = tmp_path / "big.snp"
+    big.write_text(f"neuron a spikes=1\nrule a E=(a^{10**20 - 1})* c=1 p=1 d=0\n")
+    code, out, err = run_cli(capsys, "validate", str(big))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"snpkit: error: {big}: line 2: bad guard regex: more than 1000000 a's "
+        "in literals; only a lone a^k may be longer (offset 3)"
+    ]
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "validate", "no-such-file.snp")
     assert code == 2

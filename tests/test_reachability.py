@@ -31,6 +31,9 @@ from snpkit.engine import (
 from snpkit.matrices import IntMatrix, row_rank, spiking_matrix, vec_add, vec_sub
 from snpkit.model import parse_system
 from snpkit.reachability import (
+    CandidateFailure,
+    ReachabilityCertificate,
+    TrialRow,
     _integer_rref,
     bfs_oracle,
     decompose_sum_vector,
@@ -397,6 +400,114 @@ syn b a
     # the single-path narrative would have taken (1,0,0) first and died
     ones = (1, 1)
     assert enumerate_spiking_vectors(sys, (2, 0), ones)[0] == (1, 0, 0)
+
+
+def _greedy_table_by_replay(sys, M, C0, s_bar):
+    """The refusal table as it was built before the search kept its map:
+    the greedy path walked again with fresh enumerations and steps."""
+    ones = (1,) * sys.neuron_count
+    residual = s_bar
+    config = C0
+    rows = []
+    step = 0
+    while True:
+        cands = enumerate_spiking_vectors(sys, config, ones)
+        usable = [sp for sp in cands if all(b <= r for b, r in zip(sp, residual))]
+        if not usable:
+            break
+        sp = usable[0]
+        residual = vec_sub(residual, sp)
+        config = step_no_delay(config, sp, M)
+        rows.append(TrialRow(step, residual, sp, config, None))
+        step += 1
+    if not cands or all(x in (0, 1) for x in residual):
+        reason = "not a valid spiking vector"
+        rows.append(TrialRow(step, residual, None, config, reason))
+    else:
+        reason = "not a valid sum vector"
+        trial = cands[0]
+        rows.append(TrialRow(step, vec_sub(residual, trial), trial, config, reason))
+    return tuple(rows), reason
+
+
+def decompose_by_replay(sys, C0, s_bar):
+    """The decomposition the map-keeping search replaced, kept as the
+    reference: each expanded residual's configuration is recomputed as
+    C0 + (s_bar - residual) . M, the witness's configurations are replayed
+    step by step, and a refusal's table comes from _greedy_table_by_replay."""
+    M = spiking_matrix(sys)
+    ones = (1,) * sys.neuron_count
+
+    def config_of(residual):
+        used = vec_sub(s_bar, residual)
+        return tuple(c + d for c, d in zip(C0, M.vecmat(used)))
+
+    start = tuple(s_bar)
+    parent = {start: None}
+    frontier = [start]
+    zero = (0,) * sys.rule_count
+    while frontier:
+        nxt = []
+        for residual in frontier:
+            if residual == zero:
+                seq = []
+                cur = residual
+                while parent[cur] is not None:
+                    prev, sp = parent[cur]
+                    seq.append(sp)
+                    cur = prev
+                seq.reverse()
+                configs = [tuple(C0)]
+                for sp in seq:
+                    configs.append(step_no_delay(configs[-1], sp, M))
+                return ReachabilityCertificate(
+                    verdict="reachable",
+                    k=len(seq),
+                    configs=tuple(configs),
+                    spiking_vectors=tuple(seq),
+                    s_bar=start,
+                    candidates_tried=1,
+                )
+            for sp in enumerate_spiking_vectors(sys, config_of(residual), ones):
+                if not all(b <= r for b, r in zip(sp, residual)):
+                    continue
+                child = vec_sub(residual, sp)
+                if child not in parent:
+                    parent[child] = (residual, sp)
+                    nxt.append(child)
+        frontier = nxt
+    table, reason = _greedy_table_by_replay(sys, M, C0, s_bar)
+    return ReachabilityCertificate(
+        verdict="not-reachable-within-bounds",
+        failures=(CandidateFailure(start, reason, table),),
+        candidates_tried=1,
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 10**9), st.booleans(), st.integers(0, 5))
+def test_decomposition_matches_replay_reference(seed, walk, steps):
+    """Equal certificates, refusal tables included, on sum vectors drawn
+    uniformly in 0..3 per rule (mostly refusals) and as the sum of a
+    random valid walk of up to `steps` steps (witnesses)."""
+    rng = random.Random(seed)
+    sys = make_random_system(rng, allow_delay=False)
+    if walk:
+        M = spiking_matrix(sys)
+        ones = (1,) * sys.neuron_count
+        config, s_bar = sys.initial, (0,) * sys.rule_count
+        for _ in range(steps):
+            valid = enumerate_spiking_vectors(sys, config, ones)
+            if not valid:
+                break
+            sp = rng.choice(valid)
+            config, s_bar = step_no_delay(config, sp, M), vec_add(s_bar, sp)
+    else:
+        s_bar = tuple(rng.randint(0, 3) for _ in range(sys.rule_count))
+    cert = decompose_sum_vector(sys, sys.initial, s_bar)
+    assert cert == decompose_by_replay(sys, sys.initial, s_bar)
+    if walk:
+        assert cert.reachable
 
 
 # --- end-to-end decisions -------------------------------------------------------

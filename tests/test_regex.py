@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from snpkit import regex
 from snpkit.regex import (
+    MAX_CHAIN,
     MAX_NESTING,
     Concat,
     Literal,
@@ -98,6 +99,30 @@ def test_nesting_deeper_than_limit_is_a_syntax_error():
     with pytest.raises(RegexSyntaxError) as exc:
         parse_regex(nested(MAX_NESTING + 1))
     assert exc.value.offset == MAX_NESTING
+
+
+@pytest.mark.parametrize(
+    "src, offset",
+    [
+        (f"(a^{MAX_CHAIN + 1})*", 3),
+        (f"a|a^{10**20 - 1}", 4),
+        (f"(a^{MAX_CHAIN // 2 + 1}a^{MAX_CHAIN // 2})*", 11),
+        (f"a^{MAX_CHAIN // 2}|a^{MAX_CHAIN // 2}a", 17),
+    ],
+)
+def test_literals_longer_than_chain_cap_refused_unless_lone(src, offset):
+    # an NFA would chain one state per a; the exponent that passes the
+    # cap is the offset reported
+    with pytest.raises(RegexSyntaxError) as exc:
+        parse_regex(src)
+    assert exc.value.offset == offset
+
+
+def test_literals_within_chain_cap_or_lone_parse():
+    # parsed only: compiling a million-state chain is what the cap bounds
+    assert parse_regex(f"(a^{MAX_CHAIN})*") == Star(Literal(MAX_CHAIN))
+    assert parse_regex(f"a^{MAX_CHAIN}a^{MAX_CHAIN}") == Literal(2 * MAX_CHAIN)
+    assert parse_regex(f"(a^{10**20 - 1})") == Literal(10**20 - 1)
 
 
 def test_literal_merge_only_for_adjacent_unstarred():

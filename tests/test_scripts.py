@@ -1,9 +1,11 @@
 """The scripts under scripts/, each run as a subprocess.
 
-Every script exits 0 without a traceback, and formula_report takes the
-gating identity at the states its trace really passed through.
+Every script exits 0 without a traceback, formula_report takes the
+gating identity at the states its trace really passed through, and
+replay_outputs prints one digest line per workload.
 """
 
+import re
 import subprocess
 import sys
 
@@ -57,3 +59,10 @@ def test_formula_report_gating_identity_at_replayed_states():
         "k=2 Sp=(1, 0, 0, 0): receiver-gated (-1, 2, 0) owner-gated (-1, 1, 0) SPLITS"
         in sections[gating.format("standard")]
     )
+
+
+def test_replay_outputs_prints_one_digest_per_workload():
+    proc = run_script("replay_outputs.py", "reach", "--seeds", "1")
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    assert re.fullmatch(r"reach seeds 1: \d+ queries sha256 [0-9a-f]{64}", line)
