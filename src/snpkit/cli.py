@@ -5,9 +5,10 @@ matrices (the five matrix forms), simulate (trace or bounded tree),
 analyze (structural report), reach (configuration reachability).
 
 Exit codes: 0 success / target reachable; 1 validation errors found /
-target not reachable; 2 usage errors, unreadable or malformed input, or a
-reach search deeper than Python's recursion limit.  Flag errors are
-reported before the system file is read.
+target not reachable; 2 usage errors, unreadable or malformed input, a
+reach search deeper than Python's recursion limit, or a stdout closed
+before all output was written (a broken pipe, as in ``| head -1``).  Flag
+errors are reported before the system file is read.
 Output is byte-deterministic for identical invocations (random policy
 requires an explicit seed for exactly this reason).
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys as _sys
 
 from .engine import MODES, POLICIES, Trace, TraceTree, achievable_first_intervals, run_trace
@@ -343,7 +345,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_flags(args)
-        return _COMMANDS[args.subcommand](args)
+        code = _COMMANDS[args.subcommand](args)
+        _sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the exit flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, _sys.stdout.fileno())
+        os.close(devnull)
+        print("snpkit: error: output closed early (broken pipe)", file=_sys.stderr)
+        return 2
     except UsageError as exc:
         print(f"snpkit: error: {exc}", file=_sys.stderr)
         return 2

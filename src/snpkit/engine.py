@@ -55,7 +55,6 @@ __all__ = [
     "TreeNode",
     "TraceTree",
     "initial_state",
-    "status_from_dst",
     "rule_status",
     "enumerate_spiking_vectors",
     "is_valid_spiking_vector",
@@ -86,15 +85,6 @@ class SimState(Record):
     dst: tuple[int, ...]  # remaining closed steps per rule
     st: tuple[int, ...]  # open (1) / closed (0) per neuron
     pending: tuple[tuple[int, int] | None, ...]  # (release step, amount) per rule
-
-
-def status_from_dst(sys: SNPSystem, dst: tuple[int, ...]) -> tuple[int, ...]:
-    """A neuron is open iff none of its rules is mid-delay."""
-    st = [1] * sys.neuron_count
-    for i, left in enumerate(dst):
-        if left > 0:
-            st[sys.rules[i].owner] = 0
-    return tuple(st)
 
 
 def rule_status(sys: SNPSystem, st: tuple[int, ...]) -> tuple[int, ...]:

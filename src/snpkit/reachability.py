@@ -439,32 +439,26 @@ def verify_delay_closed_form(sys: SNPSystem, trace: Trace) -> ClosedFormReport:
     cancelled if some later status mask covers that neuron, so prefixes
     whose last steps lose spikes genuinely disagree.  On a delay-free
     trace every status is open and the sum collapses to the telescoped
-    C(0) + (sum Sp) . M, which always agrees."""
+    C(0) + (sum Sp) . M, which always agrees.
+
+    The sum is evaluated in one pass by its exact recurrence
+
+        P(k) = St(k+1) (*) P(k-1) + (RSt(k+1) (*) Iv(k)) . M,  P(-1) = C(0)."""
     M = spiking_matrix(sys)
     records = trace.records
-    m = sys.neuron_count
+    predicted = records[0].C
     entries = []
-    for k in range(len(records) - 1):
-        # suffix[j] = St(j) (*) ... (*) St(k+1), as a running product
-        suffix = [(1,) * m] * (k + 3)
-        for j in range(k + 1, 0, -1):
-            suffix[j] = hadamard(suffix[j + 1], records[j].St)
-        total = hadamard(suffix[1], records[0].C)
-        for j in range(k + 1):
-            producing = hadamard(
-                rule_status(sys, records[j + 1].St), records[j].Iv
-            )
-            total = tuple(
-                t + mask * g
-                for t, mask, g in zip(total, suffix[j + 2], M.vecmat(producing))
-            )
-        actual = records[k + 1].C
+    for k, (rec, nxt) in enumerate(zip(records, records[1:])):
+        producing = hadamard(rule_status(sys, nxt.St), rec.Iv)
+        predicted = tuple(
+            mask * p + g for mask, p, g in zip(nxt.St, predicted, M.vecmat(producing))
+        )
         entries.append(
             ClosedFormEntry(
                 prefix=k,
-                predicted=total,
-                actual=actual,
-                agrees=total == actual,
+                predicted=predicted,
+                actual=nxt.C,
+                agrees=predicted == nxt.C,
             )
         )
     return ClosedFormReport(tuple(entries))

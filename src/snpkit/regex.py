@@ -4,9 +4,10 @@ Rule guards in a spiking system are regular expressions over a single
 symbol, so a guard's language is fully described by the set of spike
 counts it accepts.  That set is ultimately periodic: after some
 threshold T the membership of n depends only on n mod P.  ``compile_ast``
-extracts the (T, P, residues) form once, after which ``matches`` is an
-O(1) table lookup.  ``nfa_matches`` keeps the direct NFA step simulation
-as an independent evaluation route.
+extracts the (T, P, residues) form once, by determinizing Glushkov's
+position automaton (one state per a the expression spells, no epsilon
+edges), after which ``matches`` is an O(1) table lookup.  ``nfa_matches``
+steps that automaton n times, a route independent of the lasso extraction.
 
 Grammar (no whitespace; offsets in error messages are byte offsets)::
 
@@ -19,7 +20,7 @@ Grammar (no whitespace; offsets in error messages are byte offsets)::
 accepted when the factor is starred, e.g. ``a^0*``; a bare ``a^0`` is a
 syntax error so users cannot write a plain lambda literal.  An expression
 whose literals spell more than MAX_CHAIN a's in all is refused unless it
-is one literal, whose lasso needs no NFA chain.
+is one literal, whose lasso needs no positions.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class Star(Record):
 
 RegexAst = Literal | Concat | Union | Star
 MAX_NESTING = 100  # parentheses nested deeper are refused, not recursed into
-MAX_CHAIN = 10**6  # a's an NFA may chain; only a lone literal, compiled in O(1), spells more
+MAX_CHAIN = 10**6  # positions allowed; only a lone literal, compiled in O(1), spells more
 
 
 class RegexSyntaxError(ValueError):
@@ -136,14 +137,8 @@ class _Parser:
         while self.peek() is not None and self.peek() not in "|)":
             parts.append(self.factor())
             # adjacent unstarred literals denote one run of a's
-            if (
-                len(parts) >= 2
-                and isinstance(parts[-1], Literal)
-                and isinstance(parts[-2], Literal)
-            ):
-                b = parts.pop()
-                a = parts.pop()
-                parts.append(Literal(a.count + b.count))
+            if len(parts) > 1 and isinstance(parts[-1], Literal) and isinstance(parts[-2], Literal):
+                parts[-2:] = [Literal(parts[-2].count + parts[-1].count)]
         if not parts:
             self.fail("expected 'a' or '('")
         return parts[0] if len(parts) == 1 else Concat(tuple(parts))
@@ -201,113 +196,107 @@ def parse_regex(src: str) -> RegexAst:
 def print_regex(ast: RegexAst) -> str:
     """Canonical source form; parse_regex(print_regex(x)) is stable."""
     if isinstance(ast, Literal):
-        if ast.count == 1:
-            return "a"
-        return f"a^{ast.count}"
+        return "a" if ast.count == 1 else f"a^{ast.count}"
     if isinstance(ast, Star):
-        child = ast.child
-        if isinstance(child, Literal):
-            return print_regex(child) + "*"
-        return "(" + print_regex(child) + ")*"
+        inner = print_regex(ast.child)
+        return (inner if isinstance(ast.child, Literal) else f"({inner})") + "*"
     if isinstance(ast, Concat):
-        out = []
-        for part in ast.parts:
-            if isinstance(part, (Union, Concat)):
-                out.append("(" + print_regex(part) + ")")
-            else:
-                out.append(print_regex(part))
-        return "".join(out)
+        return "".join(
+            f"({print_regex(p)})" if isinstance(p, (Union, Concat)) else print_regex(p)
+            for p in ast.parts
+        )
     if isinstance(ast, Union):
         return "|".join(print_regex(part) for part in ast.parts)
     raise TypeError(f"not a regex node: {ast!r}")
 
 
-# --- Thompson construction -------------------------------------------------
+# --- Glushkov's position automaton ------------------------------------------
 #
-# States are integers.  eps[q] lists epsilon successors, step[q] lists
-# successors on reading one 'a'.  A fragment is (entry, exit); exit has no
-# outgoing edges inside the fragment.
+# Each a the expression spells is one position, numbered in order; inside a
+# literal q + 1 follows q.  After n >= 1 a's the run is at a set of positions
+# and accepts iff that set meets the last positions.  There are no epsilon
+# edges.  Sets are shared, never copied, so the automaton stays linear in
+# the expression: a set is a tuple or list of positions and of further sets.
+# The last positions of a node share a list, its cell, to which the node
+# appends the set that may follow them and a parent whose last positions
+# include them appends its own cell.  ends maps each literal's last position
+# to its cell, and the start, position -1 ("nothing read"), to the first.
 
 
-def _build_nfa(ast: RegexAst):
-    eps: list[list[int]] = []
-    step: list[list[int]] = []
+def _positions(ast: RegexAst):
+    """(ends, end): a frontier meets the last positions iff it reaches end."""
+    ends: dict[int, list] = {}
+    size = 0
 
-    def new_state() -> int:
-        eps.append([])
-        step.append([])
-        return len(eps) - 1
-
-    def frag(node) -> tuple[int, int]:
+    def walk(node) -> tuple[int | tuple, list, bool]:
+        nonlocal size
+        cell: list = []
         if isinstance(node, Literal):
             if node.count < 0:
                 raise ValueError("negative literal count")
-            entry = new_state()
-            cur = entry
-            for _ in range(node.count):
-                nxt = new_state()
-                step[cur].append(nxt)
-                cur = nxt
-            return entry, cur
+            if not node.count:
+                return (), cell, True
+            size += node.count
+            ends[size - 1] = cell
+            return size - node.count, cell, False
         if isinstance(node, Concat):
             if not node.parts:
                 raise ValueError("empty concat")
-            entry, out = frag(node.parts[0])
-            for part in node.parts[1:]:
-                e2, out2 = frag(part)
-                eps[out].append(e2)
-                out = out2
-            return entry, out
+            # right to left, so each part is linked once, to all it may meet
+            walks = [walk(part) for part in node.parts]
+            first, last, nullable = walks.pop()
+            last.append(cell)
+            for f, l, n in reversed(walks):
+                l.extend((first, cell) if nullable else (first,))
+                first = (f, first) if n else f
+                nullable = n and nullable
+            return first, cell, nullable
         if isinstance(node, Union):
             if not node.parts:
                 raise ValueError("empty union")
-            entry = new_state()
-            out = new_state()
-            for part in node.parts:
-                e, x = frag(part)
-                eps[entry].append(e)
-                eps[x].append(out)
-            return entry, out
+            firsts, lasts, nullables = zip(*map(walk, node.parts))
+            for last in lasts:
+                last.append(cell)
+            return firsts, cell, any(nullables)
         if isinstance(node, Star):
-            entry = new_state()
-            out = new_state()
-            e, x = frag(node.child)
-            eps[entry].append(e)
-            eps[entry].append(out)
-            eps[x].append(e)
-            eps[x].append(out)
-            return entry, out
+            first, last, _ = walk(node.child)
+            if not isinstance(node.child, Star):  # which linked the same sets
+                last.append(first)
+            return first, last, True
         raise TypeError(f"not a regex node: {node!r}")
 
-    entry, out = frag(ast)
-    return eps, step, entry, out
+    first, last, nullable = walk(ast)
+    end: list = []
+    last.append(end)
+    ends[-1] = [first, end] if nullable else [first]
+    return ends, end
 
 
-def _closure(eps, states: frozenset[int]) -> frozenset[int]:
-    seen = set(states)
-    stack = list(states)
-    while stack:
-        q = stack.pop()
-        for r in eps[q]:
-            if r not in seen:
-                seen.add(r)
-                stack.append(r)
-    return frozenset(seen)
+def _follow(frontier, ends: dict, end: list) -> tuple[frozenset[int], bool]:
+    """The positions after the frontier, and whether it reaches end."""
+    hits = frontier.intersection(ends)
+    out = {q + 1 for q in frontier.difference(hits)}
+    sets = [ends[q] for q in hits]
+    seen = set(map(id, sets))
+    for items in sets:  # sets grows as nested ones turn up; each is read once
+        for x in items:
+            if x.__class__ is int:
+                out.add(x)
+            elif id(x) not in seen:
+                seen.add(id(x))
+                sets.append(x)
+    return frozenset(out), id(end) in seen
 
 
 def nfa_matches(ast: RegexAst, n: int) -> bool:
-    """Decide a^n membership by stepping the NFA n times (reference route)."""
+    """Decide a^n membership by stepping the positions n times (reference route)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    eps, step, entry, out = _build_nfa(ast)
-    frontier = _closure(eps, frozenset([entry]))
+    ends, end = _positions(ast)
+    frontier = frozenset({-1})
     for _ in range(n):
-        frontier = _closure(
-            eps, frozenset(r for q in frontier for r in step[q])
-        )
-        if not frontier:
-            return False
-    return out in frontier
+        frontier = _follow(frontier, ends, end)[0]
+    return _follow(frontier, ends, end)[1]
 
 
 class SemilinearMembership(Record, uncompared=("state_count",)):
@@ -344,25 +333,20 @@ class SemilinearMembership(Record, uncompared=("state_count",)):
 
 
 def compile_ast(ast: RegexAst) -> SemilinearMembership:
-    """Determinize the unary NFA and extract the minimal lasso."""
+    """Determinize the position automaton and extract the minimal lasso."""
     if isinstance(ast, Literal) and ast.count >= 0:
         # the lasso of a^k is known without its k-state chain
         k = ast.count
         return SemilinearMembership(k + 1, 1, frozenset((k,)), (False,), k + 2)
-    eps, step, entry, out = _build_nfa(ast)
-    start = _closure(eps, frozenset([entry]))
-    seen: dict[frozenset[int], int] = {start: 0}
-    accepts: list[bool] = [out in start]
-    frontier = start
-    while True:
-        frontier = _closure(
-            eps, frozenset(r for q in frontier for r in step[q])
-        )
-        if frontier in seen:
-            loop_start = seen[frontier]
-            break
+    ends, end = _positions(ast)
+    seen: dict[frozenset[int], int] = {}
+    accepts: list[bool] = []
+    frontier = frozenset({-1})  # "nothing read": no later frontier holds -1
+    while frontier not in seen:
         seen[frontier] = len(accepts)
-        accepts.append(out in frontier)
+        frontier, accept = _follow(frontier, ends, end)
+        accepts.append(accept)
+    loop_start = seen[frontier]
     t_raw, p_raw = loop_start, len(accepts) - loop_start
     # minimal period of the cyclic part
     cyc = accepts[t_raw:]
@@ -377,13 +361,9 @@ def compile_ast(ast: RegexAst) -> SemilinearMembership:
         threshold -= 1
     # one period, rotated so cycle[0] corresponds to n = threshold
     off = (threshold - t_raw) % period
-    return SemilinearMembership(
-        threshold=threshold,
-        period=period,
-        tail=frozenset(n for n in range(threshold) if accepts[n]),
-        cycle=tuple(cyc[(off + i) % p_raw] for i in range(period)),
-        state_count=len(accepts),
-    )
+    tail = frozenset(n for n in range(threshold) if accepts[n])
+    cycle = tuple(cyc[(off + i) % p_raw] for i in range(period))
+    return SemilinearMembership(threshold, period, tail, cycle, len(accepts))
 
 
 def compile_regex(src: str) -> SemilinearMembership:

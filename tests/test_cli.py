@@ -584,6 +584,33 @@ def test_module_entry_point_subprocess():
     assert "k=5 C=(0, 1, 0)" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", EXAMPLE1, "--steps", "2000", "--format", "json"],
+        ["validate", EXAMPLE1],
+    ],
+)
+def test_closed_stdout_exits_2_without_traceback(argv):
+    # as in `snpkit simulate ... | head -1`: the reader is gone before the
+    # output is written, and that is not a validation failure (exit 1)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "snpkit.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=str(REPO_ROOT),
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "snpkit: error: output closed early (broken pipe)\n"
+
+
 def test_cli_import_loads_no_rational_arithmetic():
     # every query pays the CLI's imports: the arithmetic is integer only,
     # and records are built without dataclasses (which imports inspect)

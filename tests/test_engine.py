@@ -25,7 +25,6 @@ from snpkit.engine import (
     operational_step,
     rule_status,
     run_trace,
-    status_from_dst,
     step_no_delay,
     step_with_delay_v1,
     step_with_delay_v2,
@@ -587,6 +586,15 @@ def _ref_carry_dst(sys, state, Sp, mode):
         else:
             nxt.append(max(state.dst[i] - 1, 0))
     return tuple(nxt)
+
+
+def status_from_dst(sys, dst):
+    """A neuron is open iff none of its rules is mid-delay."""
+    st = [1] * sys.neuron_count
+    for i, left in enumerate(dst):
+        if left > 0:
+            st[sys.rules[i].owner] = 0
+    return tuple(st)
 
 
 def _ref_released_now(state):

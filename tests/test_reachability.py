@@ -25,10 +25,18 @@ from snpkit.cli import json_default
 from snpkit.engine import (
     enumerate_spiking_vectors,
     is_valid_spiking_vector,
+    rule_status,
     run_trace,
     step_no_delay,
 )
-from snpkit.matrices import IntMatrix, row_rank, spiking_matrix, vec_add, vec_sub
+from snpkit.matrices import (
+    IntMatrix,
+    hadamard,
+    row_rank,
+    spiking_matrix,
+    vec_add,
+    vec_sub,
+)
 from snpkit.model import parse_system
 from snpkit.reachability import (
     CandidateFailure,
@@ -775,3 +783,43 @@ def test_closed_form_report_never_crashes_on_random_delay_traces(seed):
     assert len(report.entries) == len(trace.records) - 1
     if not sys.has_delays:
         assert report.all_agree
+
+
+def nested_closed_form(sys, trace):
+    """The closed form's sum evaluated as written, every suffix product of
+    St rebuilt for every prefix: the O(k^2) reference for the one-pass
+    recurrence."""
+    M = spiking_matrix(sys)
+    records = trace.records
+    m = sys.neuron_count
+    out = []
+    for k in range(len(records) - 1):
+        # suffix[j] = St(j) (*) ... (*) St(k+1), as a running product
+        suffix = [(1,) * m] * (k + 3)
+        for j in range(k + 1, 0, -1):
+            suffix[j] = hadamard(suffix[j + 1], records[j].St)
+        total = hadamard(suffix[1], records[0].C)
+        for j in range(k + 1):
+            producing = hadamard(
+                rule_status(sys, records[j + 1].St), records[j].Iv
+            )
+            total = tuple(
+                t + mask * g
+                for t, mask, g in zip(total, suffix[j + 2], M.vecmat(producing))
+            )
+        out.append(total)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(["standard", "paper-trace"]))
+def test_one_pass_closed_form_matches_nested_sum(seed, mode):
+    rng = random.Random(seed)
+    sys = make_random_system(
+        rng, max_neurons=4, max_rules=6, max_spikes=4, allow_delay=True
+    )
+    trace = run_trace(sys, 8, policy="random", seed=seed, mode=mode)
+    report = verify_delay_closed_form(sys, trace)
+    assert [e.predicted for e in report.entries] == nested_closed_form(sys, trace)
+    assert [e.actual for e in report.entries] == [r.C for r in trace.records[1:]]
+    assert all(e.agrees == (e.predicted == e.actual) for e in report.entries)

@@ -111,7 +111,7 @@ def test_nesting_deeper_than_limit_is_a_syntax_error():
     ],
 )
 def test_literals_longer_than_chain_cap_refused_unless_lone(src, offset):
-    # an NFA would chain one state per a; the exponent that passes the
+    # the automaton has one position per a; the exponent that passes the
     # cap is the offset reported
     with pytest.raises(RegexSyntaxError) as exc:
         parse_regex(src)
@@ -119,7 +119,7 @@ def test_literals_longer_than_chain_cap_refused_unless_lone(src, offset):
 
 
 def test_literals_within_chain_cap_or_lone_parse():
-    # parsed only: compiling a million-state chain is what the cap bounds
+    # parsed only: compiling a million positions is what the cap bounds
     assert parse_regex(f"(a^{MAX_CHAIN})*") == Star(Literal(MAX_CHAIN))
     assert parse_regex(f"a^{MAX_CHAIN}a^{MAX_CHAIN}") == Literal(2 * MAX_CHAIN)
     assert parse_regex(f"(a^{10**20 - 1})") == Literal(10**20 - 1)
@@ -212,8 +212,9 @@ def test_compiled_guard_matches():
 asts = st.deferred(
     lambda: st.one_of(
         st.integers(min_value=1, max_value=5).map(Literal),
-        st.tuples(asts, asts).map(lambda ab: Concat(ab)),
-        st.tuples(asts, asts).map(lambda ab: Union(ab)),
+        st.just(Star(Literal(0))),  # a^0*: the one literal with no positions
+        st.lists(asts, min_size=2, max_size=3).map(lambda ps: Concat(tuple(ps))),
+        st.lists(asts, min_size=2, max_size=3).map(lambda ps: Union(tuple(ps))),
         asts.map(Star),
     )
 )
@@ -231,7 +232,7 @@ def test_three_routes_agree(ast, n):
 @settings(max_examples=200, deadline=None)
 def test_literal_lasso_matches_nfa_route(k, n):
     m = compile_ast(Literal(k))
-    # a one-part Concat builds the literal's own NFA chain and walks it
+    # a one-part Concat builds the literal's own positions and walks them
     via_nfa = compile_ast(Concat((Literal(k),)))
     assert m == via_nfa and m.state_count == via_nfa.state_count
     assert m.matches(n) == nfa_matches(Literal(k), n) == (n == k)
@@ -239,14 +240,14 @@ def test_literal_lasso_matches_nfa_route(k, n):
 
 def test_literal_guard_compiles_without_nfa(monkeypatch):
     def no_nfa(ast):
-        raise AssertionError(f"{print_regex(ast)} was expanded into NFA states")
+        raise AssertionError(f"{print_regex(ast)} was expanded into positions")
 
-    monkeypatch.setattr(regex, "_build_nfa", no_nfa)
+    monkeypatch.setattr(regex, "_positions", no_nfa)
     m = compile_regex("a^3000000")
     assert (m.threshold, m.period, m.cycle, m.state_count) == (3000001, 1, (False,), 3000002)
     assert m.tail == m.finite_language() == frozenset((3000000,))
     assert m.matches(3000000) and not m.matches(2999999) and not m.matches(3000001)
-    with pytest.raises(AssertionError):  # everything else still takes the NFA route
+    with pytest.raises(AssertionError):  # everything else still takes the positions
         compile_regex("a^3*")
 
 
@@ -302,3 +303,184 @@ def test_compiled_table_is_ultimately_periodic_and_minimal(ast):
         window = range(m.threshold, m.threshold + 6 * m.period)
         if all(m.matches(n) == m.matches(n + p) for n in window):
             pytest.fail(f"period {m.period} not minimal, {p} fits")
+
+
+# --- differential test against the Thompson construction -------------------
+#
+# The epsilon-NFA route that the position automaton replaced, kept as the
+# reference.  States are integers.  eps[q] lists epsilon successors, step[q]
+# lists successors on reading one 'a'.  A fragment is (entry, exit); exit has
+# no outgoing edges inside the fragment.
+
+
+def thompson_nfa(ast):
+    eps: list[list[int]] = []
+    step: list[list[int]] = []
+
+    def new_state() -> int:
+        eps.append([])
+        step.append([])
+        return len(eps) - 1
+
+    def frag(node) -> tuple[int, int]:
+        if isinstance(node, Literal):
+            entry = new_state()
+            cur = entry
+            for _ in range(node.count):
+                nxt = new_state()
+                step[cur].append(nxt)
+                cur = nxt
+            return entry, cur
+        if isinstance(node, Concat):
+            entry, out = frag(node.parts[0])
+            for part in node.parts[1:]:
+                e2, out2 = frag(part)
+                eps[out].append(e2)
+                out = out2
+            return entry, out
+        if isinstance(node, Union):
+            entry = new_state()
+            out = new_state()
+            for part in node.parts:
+                e, x = frag(part)
+                eps[entry].append(e)
+                eps[x].append(out)
+            return entry, out
+        if isinstance(node, Star):
+            entry = new_state()
+            out = new_state()
+            e, x = frag(node.child)
+            eps[entry].append(e)
+            eps[entry].append(out)
+            eps[x].append(e)
+            eps[x].append(out)
+            return entry, out
+        raise TypeError(f"not a regex node: {node!r}")
+
+    entry, out = frag(ast)
+    return eps, step, entry, out
+
+
+def thompson_closure(eps, states: frozenset[int]) -> frozenset[int]:
+    seen = set(states)
+    stack = list(states)
+    while stack:
+        q = stack.pop()
+        for r in eps[q]:
+            if r not in seen:
+                seen.add(r)
+                stack.append(r)
+    return frozenset(seen)
+
+
+def thompson_run(ast) -> tuple[list[bool], int]:
+    """The determinized run: acceptance per subset state, and where it loops."""
+    eps, step, entry, out = thompson_nfa(ast)
+    start = thompson_closure(eps, frozenset([entry]))
+    seen: dict[frozenset[int], int] = {start: 0}
+    accepts: list[bool] = [out in start]
+    frontier = start
+    while True:
+        frontier = thompson_closure(
+            eps, frozenset(r for q in frontier for r in step[q])
+        )
+        if frontier in seen:
+            return accepts, seen[frontier]
+        seen[frontier] = len(accepts)
+        accepts.append(out in frontier)
+
+
+def thompson_compile(ast) -> regex.SemilinearMembership:
+    accepts, loop_start = thompson_run(ast)
+    t_raw, p_raw = loop_start, len(accepts) - loop_start
+    cyc = accepts[t_raw:]
+    period = next(
+        p
+        for p in range(1, p_raw + 1)
+        if p_raw % p == 0 and all(cyc[i] == cyc[i % p] for i in range(p_raw))
+    )
+    threshold = t_raw
+    while threshold > 0 and accepts[threshold - 1] == cyc[(threshold - 1 - t_raw) % period]:
+        threshold -= 1
+    off = (threshold - t_raw) % period
+    return regex.SemilinearMembership(
+        threshold=threshold,
+        period=period,
+        tail=frozenset(n for n in range(threshold) if accepts[n]),
+        cycle=tuple(cyc[(off + i) % p_raw] for i in range(period)),
+        state_count=len(accepts),
+    )
+
+
+def thompson_matches(ast, n: int) -> bool:
+    """Step the epsilon-NFA n times, closing under epsilon after each step."""
+    eps, step, entry, out = thompson_nfa(ast)
+    frontier = thompson_closure(eps, frozenset([entry]))
+    for _ in range(n):
+        frontier = thompson_closure(
+            eps, frozenset(r for q in frontier for r in step[q])
+        )
+    return out in frontier
+
+
+@given(ast=asts)
+@example(ast=Concat((Star(Literal(0)), Literal(2))))
+@example(ast=Star(Concat((Star(Literal(1)), Literal(2)))))
+@example(ast=Concat((Literal(1), Star(Literal(1)), Star(Literal(2)), Star(Literal(0)))))
+@example(ast=Star(Star(Union((Literal(2), Star(Literal(3)))))))
+@settings(max_examples=300, deadline=None)
+def test_positions_agree_with_thompson_reference(ast):
+    m, ref = compile_ast(ast), thompson_compile(ast)
+    assert m == ref
+    assert m.state_count == ref.state_count
+    for n in range(UPTO + 1):
+        assert nfa_matches(ast, n) == thompson_matches(ast, n), n
+
+
+def stored(ends) -> int:
+    """Items held by the distinct sets reachable from the literal cells."""
+    todo, seen, total = list(ends.values()), set(), 0
+    while todo:
+        items = todo.pop()
+        if id(items) not in seen:
+            seen.add(id(items))
+            total += len(items)
+            todo.extend(x for x in items if not isinstance(x, int))
+    return total
+
+
+@pytest.mark.parametrize(
+    "src",
+    ["a*" * 30000, "(" + "|".join(["a"] * 30000) + ")*", "(" + "a*" * 30000 + ")*"],
+    ids=["stars", "starred-union", "starred-stars"],
+)
+def test_position_sets_stay_linear(src):
+    # every position may follow every other: copied follow sets would hold
+    # 30,000 positions each, 9 * 10^8 entries in all
+    ends = regex._positions(parse_regex(src))[0]
+    assert len(ends) == 30000 + 1 and stored(ends) <= 6 * 30000  # a literal each, and the start
+    m = compile_regex(src)
+    assert (m.threshold, m.period, m.tail, m.cycle, m.state_count) == (0, 1, frozenset(), (True,), 2)
+
+
+@pytest.mark.parametrize("src", ["(a*)*", "((a*)*)*", "(((a*)*)*)*"])
+def test_starred_star_links_once(src):
+    ends, end = regex._positions(parse_regex(src))
+    assert ends[0] == [0, end] and ends[0][1] is end  # 0 follows itself, once
+    assert regex._follow(frozenset({0}), ends, end) == (frozenset({0}), True)
+
+
+@pytest.mark.parametrize(
+    "node, message",
+    [
+        (Literal(-1), "negative literal count"),
+        (Concat(()), "empty concat"),
+        (Union(()), "empty union"),
+        (Star("a"), "not a regex node"),
+    ],
+)
+def test_malformed_asts_are_refused(node, message):
+    with pytest.raises((ValueError, TypeError), match=message):
+        compile_ast(node)
+    with pytest.raises((ValueError, TypeError), match=message):
+        nfa_matches(node, 1)
