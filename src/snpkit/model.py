@@ -284,12 +284,8 @@ def validate(sys: SNPSystem) -> ValidationReport:
         if r.is_forgetting:
             if r.d != 0:
                 error("forgetting-delay", "forgetting rules cannot carry a delay", loc)
-            if r.guard.finite_language() != frozenset([r.c]):
-                error(
-                    "forgetting-guard",
-                    f"forgetting guard must be exactly a^{r.c}",
-                    loc,
-                )
+            if not r.guard.is_singleton(r.c):
+                error("forgetting-guard", f"forgetting guard must be exactly a^{r.c}", loc)
 
     # a forgetting amount must lie outside every sibling spiking guard
     for i, r in enumerate(sys.rules):

@@ -18,9 +18,10 @@ Grammar (no whitespace; offsets in error messages are byte offsets)::
 
 ``a^k`` denotes k consecutive a's.  ``a^0`` (the empty word) is only
 accepted when the factor is starred, e.g. ``a^0*``; a bare ``a^0`` is a
-syntax error so users cannot write a plain lambda literal.  An expression
-whose literals spell more than MAX_CHAIN a's in all is refused unless it
-is one literal, whose lasso needs no positions.
+syntax error so users cannot write a plain lambda literal.  A lasso may be
+far longer than its automaton (Chrobak 1986), so ``compile_ast`` refuses, at
+offset 0, a guard whose walk would store frontiers holding more than
+MAX_WALK positions in all; a lone literal never walks.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class Star(Record):
 
 RegexAst = Literal | Concat | Union | Star
 MAX_NESTING = 100  # parentheses nested deeper are refused, not recursed into
-MAX_CHAIN = 10**6  # positions allowed; only a lone literal, compiled in O(1), spells more
+MAX_WALK = 10**6  # positions the stored frontiers of one guard's walk may hold in all
 
 
 class RegexSyntaxError(ValueError):
@@ -107,8 +108,6 @@ class _Parser:
         self.src = src
         self.pos = 0
         self.depth = 0
-        self.chain = 0  # a's spelled out so far
-        self.over: int | None = None  # offset of the literal that passed MAX_CHAIN
 
     def peek(self) -> str | None:
         return self.src[self.pos] if self.pos < len(self.src) else None
@@ -120,9 +119,6 @@ class _Parser:
         node = self.union()
         if self.pos != len(self.src):
             self.fail(f"unexpected {self.src[self.pos]!r}")
-        if self.over is not None and not isinstance(node, Literal):
-            msg = f"more than {MAX_CHAIN} a's in literals; only a lone a^k may be longer"
-            self.fail(msg, self.over)
         return node
 
     def union(self) -> RegexAst:
@@ -156,15 +152,11 @@ class _Parser:
     def base(self) -> RegexAst:
         ch = self.peek()
         if ch == "a":
-            at, count = self.pos, 1
             self.pos += 1
-            if self.peek() == "^":
-                self.pos = at = at + 2
-                count = self.uint()
-            self.chain += count
-            if self.chain > MAX_CHAIN and self.over is None:
-                self.over = at
-            return Literal(count)
+            if self.peek() != "^":
+                return Literal(1)
+            self.pos += 1
+            return Literal(self.uint())
         if ch == "(":
             if self.depth == MAX_NESTING:
                 self.fail(f"parentheses nested deeper than {MAX_NESTING}")
@@ -333,16 +325,24 @@ class SemilinearMembership(Record, uncompared=("state_count",)):
 
 
 def compile_ast(ast: RegexAst) -> SemilinearMembership:
-    """Determinize the position automaton and extract the minimal lasso."""
+    """Determinize the position automaton and extract the minimal lasso.
+    Raises RegexSyntaxError if the walk would pass MAX_WALK."""
     if isinstance(ast, Literal) and ast.count >= 0:
         # the lasso of a^k is known without its k-state chain
         k = ast.count
         return SemilinearMembership(k + 1, 1, frozenset((k,)), (False,), k + 2)
     ends, end = _positions(ast)
+    over = f"compiling would store more than {MAX_WALK} positions"
+    if max(ends) >= MAX_WALK:  # each position shows up in some stored frontier
+        raise RegexSyntaxError(over, 0)
     seen: dict[frozenset[int], int] = {}
     accepts: list[bool] = []
     frontier = frozenset({-1})  # "nothing read": no later frontier holds -1
+    held = -1  # positions in the stored frontiers; the start marker is none
     while frontier not in seen:
+        held += len(frontier)
+        if held > MAX_WALK:
+            raise RegexSyntaxError(over, 0)
         seen[frontier] = len(accepts)
         frontier, accept = _follow(frontier, ends, end)
         accepts.append(accept)

@@ -114,16 +114,16 @@ def test_huge_bare_literal_guard_validates(capsys, tmp_path):
 
 
 def test_huge_literal_inside_star_exit_2_without_traceback(capsys, tmp_path):
-    # inside a star the literal would need its NFA chain, so the parser
-    # refuses it instead of running out of memory
+    # inside a star the literal would need one position per a, so the
+    # guard is refused before its walk instead of running out of memory
     big = tmp_path / "big.snp"
     big.write_text(f"neuron a spikes=1\nrule a E=(a^{10**20 - 1})* c=1 p=1 d=0\n")
     code, out, err = run_cli(capsys, "validate", str(big))
     assert code == 2
     assert out == ""
     assert err.splitlines() == [
-        f"snpkit: error: {big}: line 2: bad guard regex: more than 1000000 a's "
-        "in literals; only a lone a^k may be longer (offset 3)"
+        f"snpkit: error: {big}: line 2: bad guard regex: compiling would store "
+        "more than 1000000 positions (offset 0)"
     ]
 
 
@@ -609,6 +609,51 @@ def test_closed_stdout_exits_2_without_traceback(argv):
         os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr == "snpkit: error: output closed early (broken pipe)\n"
+
+
+LADDER = "(" + "|".join(f"a^{k}" for k in range(1, 401)) + ")*"  # 80,200 positions
+COPRIME = "(a^31)*|(a^29)*|(a^23)*|(a^19)*|(a^17)*"  # period 6.7 million
+
+
+def limit_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize(
+    "guard, argv",
+    [
+        (LADDER, ["validate"]),
+        (LADDER, ["matrices"]),
+        (LADDER, ["simulate", "--steps", "1"]),
+        (LADDER, ["analyze"]),
+        (LADDER, ["reach", "--target", "1,1"]),
+        (COPRIME, ["validate"]),
+    ],
+    ids=["ladder-validate", "ladder-matrices", "ladder-simulate", "ladder-analyze",
+         "ladder-reach", "coprime-validate"],
+)
+def test_guard_past_walk_budget_exit_2_without_traceback(tmp_path, guard, argv):
+    # small guards whose lassos need millions of subset states are refused
+    # by the walk budget, not by running out of memory
+    pytest.importorskip("resource")
+    path = tmp_path / "wide.snp"
+    path.write_text(f"neuron a spikes=1\nneuron b spikes=0\nrule a E={guard} c=1 p=1 d=0\nsyn a b\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "snpkit.cli", argv[0], str(path), *argv[1:]],
+        capture_output=True,
+        text=True,
+        cwd=str(REPO_ROOT),
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        preexec_fn=limit_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"snpkit: error: {path}: line 3: bad guard regex: compiling would store "
+        "more than 1000000 positions (offset 0)"
+    ]
 
 
 def test_cli_import_loads_no_rational_arithmetic():

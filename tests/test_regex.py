@@ -5,8 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from snpkit import regex
 from snpkit.regex import (
-    MAX_CHAIN,
     MAX_NESTING,
+    MAX_WALK,
     Concat,
     Literal,
     RegexSyntaxError,
@@ -101,28 +101,41 @@ def test_nesting_deeper_than_limit_is_a_syntax_error():
     assert exc.value.offset == MAX_NESTING
 
 
+# (a^31)*|...|(a^17)* has 119 positions and a period of 6.7 million; the
+# ladder (a|a^2|...|a^400)* has 80,200 positions and N^3/6 in its frontiers
+COPRIME = "(a^31)*|(a^29)*|(a^23)*|(a^19)*|(a^17)*"
+LADDER = "(" + "|".join(f"a^{k}" for k in range(1, 401)) + ")*"
+
+
 @pytest.mark.parametrize(
-    "src, offset",
+    "src",
     [
-        (f"(a^{MAX_CHAIN + 1})*", 3),
-        (f"a|a^{10**20 - 1}", 4),
-        (f"(a^{MAX_CHAIN // 2 + 1}a^{MAX_CHAIN // 2})*", 11),
-        (f"a^{MAX_CHAIN // 2}|a^{MAX_CHAIN // 2}a", 17),
+        f"(a^{MAX_WALK + 1})*",
+        f"a|a^{10**20 - 1}",
+        f"(a^{MAX_WALK // 2 + 1}a^{MAX_WALK // 2})*",
+        f"a^{MAX_WALK // 2}|a^{MAX_WALK // 2}a",
+        LADDER,
+        COPRIME,
     ],
+    ids=["star-chain", "huge-alternative", "merged-star-chain", "union-chains", "ladder", "coprime"],
 )
-def test_literals_longer_than_chain_cap_refused_unless_lone(src, offset):
-    # the automaton has one position per a; the exponent that passes the
-    # cap is the offset reported
-    with pytest.raises(RegexSyntaxError) as exc:
-        parse_regex(src)
-    assert exc.value.offset == offset
+def test_guards_over_walk_budget_refused(src):
+    # the refusal is of the whole guard, so it carries offset 0
+    with pytest.raises(RegexSyntaxError, match=f"more than {MAX_WALK} positions") as exc:
+        compile_regex(src)
+    assert exc.value.offset == 0
 
 
-def test_literals_within_chain_cap_or_lone_parse():
-    # parsed only: compiling a million positions is what the cap bounds
-    assert parse_regex(f"(a^{MAX_CHAIN})*") == Star(Literal(MAX_CHAIN))
-    assert parse_regex(f"a^{MAX_CHAIN}a^{MAX_CHAIN}") == Literal(2 * MAX_CHAIN)
-    assert parse_regex(f"(a^{10**20 - 1})") == Literal(10**20 - 1)
+def test_guards_within_walk_budget_or_lone_compile(monkeypatch):
+    # a lone literal never walks, whatever its length
+    assert compile_regex(f"a^{MAX_WALK}a^{MAX_WALK}").tail == frozenset((2 * MAX_WALK,))
+    assert compile_regex(f"(a^{10**20 - 1})").threshold == 10**20
+    # (a^k)* stores the frontiers {0}, ..., {k - 1}: k positions, at most the
+    # budget (a smaller one here, to keep the walk short)
+    monkeypatch.setattr(regex, "MAX_WALK", 5000)
+    assert compile_regex("(a^5000)*").period == 5000
+    with pytest.raises(RegexSyntaxError):
+        compile_regex("(a^5001)*")
 
 
 def test_literal_merge_only_for_adjacent_unstarred():
@@ -435,6 +448,45 @@ def test_positions_agree_with_thompson_reference(ast):
     assert m.state_count == ref.state_count
     for n in range(UPTO + 1):
         assert nfa_matches(ast, n) == thompson_matches(ast, n), n
+
+
+def held(ast) -> int:
+    """Positions in the distinct frontiers of the walk, the start marker aside."""
+    ends, end = regex._positions(ast)
+    frontier, frontiers = frozenset({-1}), set()
+    while frontier not in frontiers:
+        frontiers.add(frontier)
+        frontier = regex._follow(frontier, ends, end)[0]
+    return sum(map(len, frontiers)) - 1
+
+
+@given(ast=asts)
+@example(ast=Literal(5))
+@example(ast=Star(Literal(0)))
+@example(ast=parse_regex("(a^5)*|(a^4)*|(a^3)*"))  # 12 positions, 180 held
+@settings(max_examples=200, deadline=None)
+def test_walk_budget_refuses_exactly_past_held_positions(ast):
+    need, ref = held(ast), thompson_compile(ast)
+    for budget in (0, 3, 40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regex, "MAX_WALK", budget)
+            if need > budget and not isinstance(ast, Literal):
+                with pytest.raises(RegexSyntaxError):
+                    compile_ast(ast)
+            else:
+                m = compile_ast(ast)
+                assert m == ref and m.state_count == ref.state_count
+
+
+@pytest.mark.parametrize("budget", [0, 3, 40, MAX_WALK])
+def test_positions_past_budget_refused_before_walking(monkeypatch, budget):
+    def no_walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(regex, "_follow", no_walk)
+    monkeypatch.setattr(regex, "MAX_WALK", budget)
+    with pytest.raises(RegexSyntaxError):
+        compile_regex(f"(a^{budget + 1})*")
 
 
 def stored(ends) -> int:
