@@ -5,10 +5,9 @@ matrices (the five matrix forms), simulate (trace or bounded tree),
 analyze (structural report), reach (configuration reachability).
 
 Exit codes: 0 success / target reachable; 1 validation errors found /
-target not reachable; 2 usage errors, unreadable or malformed input, a
-reach search deeper than Python's recursion limit, or a stdout closed
-before all output was written (a broken pipe, as in ``| head -1``).  Flag
-errors are reported before the system file is read.
+target not reachable; 2 usage errors, unreadable or malformed input, or a
+stdout closed before all output was written (a broken pipe, as in
+``| head -1``).  Flag errors are reported before the system file is read.
 Output is byte-deterministic for identical invocations (random policy
 requires an explicit seed for exactly this reason).
 """
@@ -273,12 +272,6 @@ def cmd_reach(args: argparse.Namespace) -> int:
     except ValueError as exc:
         # delayed systems have no sum-vector characterization
         raise UsageError(str(exc)) from exc
-    except RecursionError as exc:
-        # the candidate walk recurses once per free variable
-        raise UsageError(
-            "too many free variables for the sum-vector search "
-            "(recursion limit exceeded)"
-        ) from exc
     if args.format == "json":
         _emit_json(cert)
     else:

@@ -101,11 +101,11 @@ def _enumerate_nonneg(M: IntMatrix, delta: tuple[int, ...], bound: int):
     One fraction-free elimination writes each pivot row as
     D * s_c = N_c - sum_f A_cf * s_f over the free variables f, with one
     denominator D > 0 for every row.  A depth-first walk then assigns the
-    free variables in turn (each <= bound, as every s_i >= 0) and keeps,
-    in integers only, the residuals r_c = N_c - sum A_cf * s_f over the
-    assigned f and the partial value of D * sum(s).  A leaf is a solution
-    when every r_c is a nonnegative multiple of D and the sum is within
-    bound.
+    free variables in turn (each <= bound, as every s_i >= 0) on explicit
+    frames, one per assigned variable, each keeping in integers only the
+    residuals r_c = N_c - sum A_cf * s_f over the assigned f and the
+    partial value of D * sum(s).  A leaf is a solution when every r_c is a
+    nonnegative multiple of D and the sum is within bound.
 
     Two prunes skip only subtrees that hold no solution: a pivot whose
     unassigned coefficients are all >= 0 can only fall, so r_c < 0 ends
@@ -129,42 +129,48 @@ def _enumerate_nonneg(M: IntMatrix, delta: tuple[int, ...], bound: int):
     falling = [[c for c, a in enumerate(coefs) if min(a[j:]) >= 0] for j in range(width)]
     rising = [min(weight[j:]) >= 0 for j in range(width)]
     columns = [[(c, a[j]) for c, a in enumerate(coefs) if a[j]] for j in range(width)]
-    values = [0] * width
     out = []
-
-    def walk(j: int, r: list[int], part: int, free_sum: int):
-        if j == width:
-            if part <= limit and all(x >= 0 and x % D == 0 for x in r):
-                s = [0] * M.rows
-                for col, v in zip(free, values):
-                    s[col] = v
-                for col, x in zip(pivots, r):
-                    s[col] = x // D
-                out.append(tuple(s))
-            return
-        hi = bound - free_sum
-        for c in falling[j]:
-            if r[c] < 0:
-                return
-            a = coefs[c][j]
-            if a > 0:
-                hi = min(hi, r[c] // a)
-        w = weight[j]
-        if rising[j]:
-            if part > limit:
-                return
-            if w > 0:
-                hi = min(hi, (limit - part) // w)
-        r = list(r)  # the caller's residuals stay as they were
-        for v in range(hi + 1):
-            values[j] = v
-            walk(j + 1, r, part, free_sum + v)
-            for c, a in columns[j]:
-                r[c] -= a
-            part += w
-
-    walk(0, consts, start, 0)
-    return out
+    # one frame per assigned variable: [value, cap, residuals, part and free_sum at 0]
+    stack = []
+    r, part, free_sum = consts, start, 0
+    while True:
+        j = len(stack)
+        if j < width:
+            hi = bound - free_sum
+            for c in falling[j]:
+                if r[c] < 0:
+                    hi = -1
+                    break
+                a = coefs[c][j]
+                if a > 0:
+                    hi = min(hi, r[c] // a)
+            if rising[j]:
+                if part > limit:
+                    hi = -1
+                elif weight[j] > 0:
+                    hi = min(hi, (limit - part) // weight[j])
+            if hi >= 0:
+                r = list(r)  # the parent's residuals stay as they were
+                stack.append([0, hi, r, part, free_sum])
+                continue
+        elif part <= limit and all(x >= 0 and x % D == 0 for x in r):
+            s = [0] * M.rows
+            for col, f in zip(free, stack):
+                s[col] = f[0]
+            for col, x in zip(pivots, r):
+                s[col] = x // D
+            out.append(tuple(s))
+        while stack and stack[-1][0] == stack[-1][1]:
+            stack.pop()
+        if not stack:
+            return out
+        j = len(stack) - 1
+        f = stack[j]
+        f[0] = v = f[0] + 1
+        r = f[2]
+        for c, a in columns[j]:
+            r[c] -= a
+        part, free_sum = f[3] + v * weight[j], f[4] + v
 
 
 def sum_vector_solutions(

@@ -16,6 +16,8 @@ import pytest
 
 from conftest import REPO_ROOT, SYSTEMS_DIR, TESTS_DIR
 from snpkit.cli import json_default, main
+from snpkit.model import parse_system
+from snpkit.reachability import bfs_oracle
 
 EXAMPLE1 = str(SYSTEMS_DIR / "example1.snp")
 EXAMPLE3 = str(SYSTEMS_DIR / "example3.snp")
@@ -456,19 +458,26 @@ def test_reach_malformed_target_exit_2(capsys):
     assert code == 2
 
 
-def test_reach_search_too_deep_exit_2_without_traceback(capsys, tmp_path):
-    # 1,100 rules on one neuron leave 1,098 free variables, one nested call
-    # each in the candidate walk: deeper than Python's recursion limit
-    rules = "".join(f"rule n1 E=a^{k} c={k} p=1 d=0\n" for k in range(1, 1101))
+def test_reach_many_free_variables_answers(capsys, tmp_path):
+    # more rules on one neuron than the recursion limit, so more free
+    # variables in the candidate walk than a recursive walk could nest
+    n = sys.getrecursionlimit() + 100
+    rules = "".join(f"rule n1 E=a^{k} c={k} p=1 d=0\n" for k in range(1, n + 1))
     path = tmp_path / "many.snp"
     path.write_text("neuron n1 spikes=2\nneuron n2 spikes=0\n" + rules + "syn n1 n2\n")
-    code, out, err = run_cli(capsys, "reach", str(path), "--target", "1,1", "--kmax", "1")
-    assert code == 2
-    assert out == ""
-    assert err == (
-        "snpkit: error: too many free variables for the sum-vector search "
-        "(recursion limit exceeded)\n"
+    system = parse_system(path.read_text())
+    cases = (
+        ("1,1", 1, "verdict: not-reachable-within-bounds", (False, None)),
+        ("0,1", 0, "verdict: reachable", (True, 1)),
     )
+    for target, exit_code, verdict, oracle in cases:
+        code, out, err = run_cli(capsys, "reach", str(path), "--target", target, "--kmax", "1")
+        assert code == exit_code
+        assert "Traceback" not in out + err
+        lines = out.splitlines()
+        assert lines[0] == verdict
+        assert ("k: 1" in lines) == (exit_code == 0)
+        assert bfs_oracle(system, tuple(map(int, target.split(","))), 1) == oracle
 
 
 def test_reach_delayed_system_exit_2(capsys):
