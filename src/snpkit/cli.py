@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys as _sys
+from json.encoder import encode_basestring_ascii
 
 from .engine import MODES, POLICIES, Trace, TraceTree, achievable_first_intervals, run_trace
 from .matrices import (
@@ -114,8 +115,54 @@ def json_default(obj) -> dict:
     return {name: getattr(obj, name) for name in obj._fields}
 
 
+def _json(obj, ind: str):
+    """Yield ``json.dumps(obj, indent=2, sort_keys=True, default=json_default)``
+    in pieces, `ind` being a newline and the current indent.  `json` runs its
+    pure-Python encoder under ``indent=``; this walk writes the same bytes
+    without building the whole string, and a list of ints is one piece."""
+    t = type(obj)  # exact types: bool is not an int here
+    if t is str:
+        yield encode_basestring_ascii(obj)
+    elif t is int:
+        yield int.__repr__(obj)
+    elif t is bool:
+        yield "true" if obj else "false"
+    elif obj is None:
+        yield "null"
+    elif t is list or t is tuple:
+        if not obj:
+            yield "[]"
+            return
+        inner = ind + "  "
+        if all(type(x) is int for x in obj):
+            yield "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + ind + "]"
+            return
+        sep = "[" + inner
+        for x in obj:
+            yield sep
+            yield from _json(x, inner)
+            sep = "," + inner
+        yield ind + "]"
+    elif t is dict:
+        if not obj:
+            yield "{}"
+            return
+        inner = ind + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            yield sep + encode_basestring_ascii(key) + ": "
+            yield from _json(value, inner)
+            sep = "," + inner
+        yield ind + "}"
+    elif t is float:
+        raise TypeError("float is not printed: snpkit's numbers are exact ints")
+    else:
+        yield from _json(json_default(obj), ind)
+
+
 def _emit_json(blob) -> None:
-    print(json.dumps(blob, indent=2, sort_keys=True, default=json_default))
+    _sys.stdout.writelines(_json(blob, "\n"))
+    _sys.stdout.write("\n")
 
 
 # --- subcommands ---------------------------------------------------------------

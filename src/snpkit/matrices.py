@@ -84,12 +84,13 @@ class IntMatrix(Record):
         return tuple(row[j] for row in self.data)
 
     def to_text(self) -> str:
+        """Rows of right-aligned cells, each formatted once per distinct value."""
         if not self.data:
             return "(empty)"
-        width = max(len(str(x)) for row in self.data for x in row)
-        return "\n".join(
-            " ".join(str(x).rjust(width) for x in row) for row in self.data
-        )
+        values = set().union(*self.data)
+        width = max(len(str(x)) for x in values)
+        cell = {x: str(x).rjust(width) for x in values}
+        return "\n".join(" ".join(map(cell.__getitem__, row)) for row in self.data)
 
 
 def vec_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -228,23 +229,24 @@ def structural_report(sys: SNPSystem) -> StructuralReport:
     """
     mat = spiking_matrix(sys)
     m = sys.neuron_count
-    row_neg = tuple(sum(1 for x in row if x < 0) for row in mat.data)
-    col_neg = tuple(
-        sum(1 for i in range(mat.rows) if mat.data[i][j] < 0) for j in range(m)
-    )
-    inferred = []
-    for i, row in enumerate(mat.data):
-        nonzero = [j for j, x in enumerate(row) if x != 0]
-        if len(nonzero) == 1 and row[nonzero[0]] < 0:
-            owner = sys.rules[i].owner
-            if owner not in inferred:
-                inferred.append(owner)
+    row_neg = []
+    col_neg = [0] * m
+    inferred = {}  # owners in order of first evidence
+    for rule, row in zip(sys.rules, mat.sparse_rows):
+        negs = 0
+        for j, x in row:
+            if x < 0:
+                negs += 1
+                col_neg[j] += 1
+        row_neg.append(negs)
+        if negs == len(row) == 1:
+            inferred[rule.owner] = None
     out_degree = tuple(len(t) for t in sys.targets_of)
     struc = struc_matrix(sys)
     rank = row_rank(struc)
     return StructuralReport(
-        row_negative_counts=row_neg,
-        col_negative_counts=col_neg,
+        row_negative_counts=tuple(row_neg),
+        col_negative_counts=tuple(col_neg),
         inferred_output_neurons=tuple(inferred),
         out_degree=out_degree,
         struc_rank=rank,

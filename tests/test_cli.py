@@ -8,15 +8,18 @@ docs/schemas.
 
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import REPO_ROOT, SYSTEMS_DIR, TESTS_DIR
-from snpkit.cli import json_default, main
-from snpkit.model import parse_system
+from snpkit.cli import _json, json_default, main
+from snpkit.model import Record, parse_system
 from snpkit.reachability import bfs_oracle
 
 EXAMPLE1 = str(SYSTEMS_DIR / "example1.snp")
@@ -529,6 +532,98 @@ def test_json_stdout_bytes_pinned(capsys, name):
 def test_json_hook_refuses_non_records():
     with pytest.raises(TypeError, match="set is not JSON serializable"):
         json.dumps({1}, default=json_default)
+
+
+# --- the streaming JSON emitter -----------------------------------------------------
+
+
+class Pair(Record):
+    left: object
+    right: object
+
+
+def dumps(obj) -> str:
+    """The encoding cli._json must reproduce piece by piece (reference)."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=json_default)
+
+
+def emitted(obj) -> str:
+    return "".join(_json(obj, "\n"))
+
+
+ints = st.one_of(st.integers(), st.integers(min_value=-(2**200), max_value=2**200))
+strings = st.one_of(st.text(), st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600a'))
+leaves = st.one_of(st.none(), st.booleans(), ints, strings)
+json_values = st.recursive(
+    leaves | st.lists(st.one_of(ints, st.booleans())),  # int rows, bool beside 1 and 0
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(strings, children, max_size=5),
+        st.builds(Pair, children, children),
+    ),
+    max_leaves=40,
+)
+
+
+@given(obj=json_values)
+@settings(max_examples=500, deadline=None)
+def test_emitter_matches_json_dumps(obj):
+    assert emitted(obj) == dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [[], {}, (), [[]], {"a": {}}, [True, 1, False, 0], (2**64, -(2**70)), Pair(None, [])],
+    ids=["list", "dict", "tuple", "nested-list", "nested-dict", "bools", "bigints", "record"],
+)
+def test_emitter_edge_cases(obj):
+    assert emitted(obj) == dumps(obj)
+
+
+def test_emitter_refuses_floats_and_foreign_types():
+    with pytest.raises(TypeError, match="float"):
+        emitted({"rows": [1, 2.5]})
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        emitted([1, {1}])
+
+
+def tier_system(rng: random.Random, neurons: int, rules_per_neuron: int) -> str:
+    """A valid system text the size of the benchmark's largest static tier."""
+    names = [f"n{j}" for j in range(neurons)]
+    lines = [f"neuron {name} spikes={rng.randint(0, 5)}" for name in names]
+    for name in names:
+        for c in range(1, rules_per_neuron + 1):
+            lines.append(f"rule {name} E=a^{c} c={c} p={rng.randint(1, c)} d=0")
+    for j, name in enumerate(names):
+        targets = {rng.randrange(neurons) for _ in range(3)} - {j}
+        lines += [f"syn {name} {names[t]}" for t in sorted(targets)]
+    lines.append(f"out {names[0]}")
+    return "\n".join(lines) + "\n"
+
+
+def test_matrices_json_streams(tmp_path, monkeypatch):
+    # the JSON is written in pieces: no copy of the whole output is held,
+    # so the traced peak stays under twice the bytes printed (a single
+    # json.dumps string held about eight times them)
+    path = tmp_path / "tier.snp"
+    path.write_text(tier_system(random.Random(130), 130, 3))
+    out = tmp_path / "out.json"
+    with open(out, "w") as fh:
+        monkeypatch.setattr(sys, "stdout", fh)
+        tracemalloc.start()
+        try:
+            code = main(["matrices", str(path), "--format", "json"])
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        monkeypatch.undo()
+    printed = out.stat().st_size
+    assert code == 0
+    assert printed > 2_000_000
+    assert peak < 2 * printed, (peak, printed)
+    blocks = json.loads(out.read_text())
+    assert (blocks["M"]["rows"], blocks["M"]["cols"]) == (390, 130)
 
 
 # --- flag plumbing ----------------------------------------------------------------

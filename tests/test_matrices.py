@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gensys import make_random_system
 from snpkit.cli import json_default
@@ -209,7 +209,65 @@ def test_matrix_text_and_json_round_trip(example1):
     assert text.splitlines()[3] == " 0  0 -1"
 
 
+def column_text(mat: IntMatrix) -> str:
+    """to_text as it was before the per-value cell table (reference)."""
+    if not mat.data:
+        return "(empty)"
+    width = max(len(str(x)) for row in mat.data for x in row)
+    return "\n".join(" ".join(str(x).rjust(width) for x in row) for row in mat.data)
+
+
+@st.composite
+def text_matrices(draw):
+    rows = draw(st.integers(min_value=0, max_value=8))
+    cols = draw(st.integers(min_value=1, max_value=8))
+    entry = st.one_of(
+        st.integers(min_value=-9, max_value=9), st.integers(min_value=-10**6, max_value=10**6)
+    )
+    data = tuple(
+        tuple(draw(st.lists(entry, min_size=cols, max_size=cols))) for _ in range(rows)
+    )
+    return IntMatrix(rows, cols, data)
+
+
+@given(mat=text_matrices())
+@example(mat=IntMatrix(0, 0, ()))
+@example(mat=IntMatrix(1, 4, ((3, -12, 0, 7),)))
+@example(mat=IntMatrix(3, 1, ((-1,), (100,), (0,))))
+@settings(max_examples=300, deadline=None)
+def test_to_text_matches_reference(mat):
+    assert mat.to_text() == column_text(mat)
+
+
 # --- structural report -------------------------------------------------------
+
+
+def dense_census(s) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The row/column sign census over every dense cell of M, as
+    structural_report computed it before it read the sparse rows (reference)."""
+    mat = spiking_matrix(s)
+    row_neg = tuple(sum(1 for x in row if x < 0) for row in mat.data)
+    col_neg = tuple(
+        sum(1 for i in range(mat.rows) if mat.data[i][j] < 0) for j in range(s.neuron_count)
+    )
+    inferred = []
+    for i, row in enumerate(mat.data):
+        nonzero = [j for j, x in enumerate(row) if x != 0]
+        if len(nonzero) == 1 and row[nonzero[0]] < 0:
+            owner = s.rules[i].owner
+            if owner not in inferred:
+                inferred.append(owner)
+    return row_neg, col_neg, tuple(inferred)
+
+
+@given(seed=st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=200, deadline=None)
+def test_sparse_census_matches_dense_reference(seed):
+    # forgetting rules and neurons without out-synapses give negative-only rows
+    s = make_random_system(random.Random(seed), max_neurons=8, max_rules=16, allow_delay=True)
+    rep = structural_report(s)
+    census = (rep.row_negative_counts, rep.col_negative_counts, rep.inferred_output_neurons)
+    assert census == dense_census(s)
 
 
 def test_structural_report_first_system(example1):
