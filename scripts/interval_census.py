@@ -14,7 +14,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from snpkit.engine import achievable_first_intervals, run_trace
+from snpkit.engine import MODES, achievable_first_intervals, run_trace
 from snpkit.model import parse_system
 
 DEFAULT = pathlib.Path(__file__).resolve().parents[1] / "systems" / "example1.snp"
@@ -24,7 +24,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("system", nargs="?", default=str(DEFAULT))
     ap.add_argument("--max-depth", type=int, default=12)
-    ap.add_argument("--mode", choices=("standard", "paper-trace"), default="standard")
+    ap.add_argument("--mode", choices=MODES, default="standard")
     args = ap.parse_args()
 
     sys_ = parse_system(pathlib.Path(args.system).read_text())

@@ -1,9 +1,11 @@
-"""Execution engine: spiking-vector enumeration, step formulas, traces.
+"""Execution engine: choice tables, spiking vectors, step formulas, traces.
 
 Vectors are plain int tuples; matrices are IntMatrix.  A SimState is the
 complete carry state entering a step: configuration, per-rule remaining
 delay (dst), per-neuron open/closed status (st, derived from dst), and
-per-rule queued production (standard mode only).
+per-rule queued production (standard mode only).  Steps read the state's
+choice table (each open neuron's applicable rules); only the tree and the
+"random" policy list its whole product of spiking vectors.
 
 Two delay semantics are provided, selected by `mode`:
 
@@ -56,6 +58,9 @@ __all__ = [
     "TraceTree",
     "initial_state",
     "rule_status",
+    "choice_table",
+    "spiking_vector",
+    "table_vectors",
     "enumerate_spiking_vectors",
     "is_valid_spiking_vector",
     "step_no_delay",
@@ -106,38 +111,45 @@ def initial_state(sys: SNPSystem) -> SimState:
 # --- spiking vectors ---------------------------------------------------------
 
 
+def choice_table(
+    sys: SNPSystem, C: tuple[int, ...], St: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    """The choices at configuration C under status St: for each open neuron
+    with at least one applicable rule, its applicable rules in index order.
+    A valid spiking vector fires exactly one rule of every entry and no
+    other; the table is empty iff no neuron can fire."""
+    table = []
+    for j in range(sys.neuron_count):
+        if St[j]:
+            rules = tuple(i for i in sys.rules_of[j] if sys.rules[i].applicable(C[j]))
+            if rules:
+                table.append(rules)
+    return table
+
+
+def spiking_vector(sys: SNPSystem, fired) -> tuple[int, ...]:
+    """The 0/1 vector over the rules of sys that fires exactly `fired`."""
+    v = [0] * sys.rule_count
+    for i in fired:
+        v[i] = 1
+    return tuple(v)
+
+
+def table_vectors(sys: SNPSystem, table: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The spiking vectors of a choice table (the product of its entries) by
+    support tuple (ascending rule indices): as each fires one rule per entry,
+    that is their descending order.  None for an empty table; the head fires
+    each entry's first rule, as a later one raises the sorted support."""
+    product = itertools.product(*table) if table else ()
+    return sorted((spiking_vector(sys, fired) for fired in product), reverse=True)
+
+
 def enumerate_spiking_vectors(
     sys: SNPSystem, C: tuple[int, ...], St: tuple[int, ...]
 ) -> list[tuple[int, ...]]:
-    """All valid spiking vectors for configuration C under status St.
-
-    Every open neuron with at least one applicable rule chooses exactly
-    one; closed neurons and neurons with nothing applicable contribute
-    no bits.  Empty list iff no neuron can fire (halting configuration
-    when additionally St is all-ones and nothing is queued).  Vectors
-    are ordered by their support tuple (ascending rule indices), so the
-    head of the list picks the lowest-indexed rule in every neuron.
-    """
-    n = sys.rule_count
-    choices: list[tuple[int, ...]] = []
-    for j in range(sys.neuron_count):
-        if not St[j]:
-            continue
-        applicable = tuple(
-            i for i in sys.rules_of[j] if sys.rules[i].applicable(C[j])
-        )
-        if applicable:
-            choices.append(applicable)
-    if not choices:
-        return []
-    out = []
-    for combo in itertools.product(*choices):
-        v = [0] * n
-        for i in combo:
-            v[i] = 1
-        out.append(tuple(v))
-    out.sort(key=lambda v: tuple(i for i, b in enumerate(v) if b))
-    return out
+    """All valid spiking vectors for configuration C under status St, in
+    table_vectors order; empty iff no neuron can fire."""
+    return table_vectors(sys, choice_table(sys, C, St))
 
 
 def is_valid_spiking_vector(
@@ -149,24 +161,11 @@ def is_valid_spiking_vector(
     """Membership test for enumerate_spiking_vectors without materializing it."""
     if len(Sp) != sys.rule_count or any(b not in (0, 1) for b in Sp):
         return False
-    fired_any = False
-    for j in range(sys.neuron_count):
-        chosen = [i for i in sys.rules_of[j] if Sp[i]]
-        applicable = [
-            i for i in sys.rules_of[j] if sys.rules[i].applicable(C[j])
-        ]
-        if not St[j]:
-            if chosen:
-                return False
-            continue
-        if applicable:
-            # an open neuron that can fire must fire exactly one rule
-            if len(chosen) != 1 or chosen[0] not in applicable:
-                return False
-            fired_any = True
-        elif chosen:
-            return False
-    return fired_any
+    table = choice_table(sys, C, St)
+    # one fired rule per entry, and as many fired rules as entries
+    return bool(table) and sum(Sp) == len(table) and all(
+        sum(Sp[i] for i in rules) == 1 for rules in table
+    )
 
 
 # --- step formulas -----------------------------------------------------------
@@ -402,11 +401,11 @@ def _terminal_record(sys: SNPSystem, state: SimState) -> StepRecord:
     )
 
 
-def _is_halted(state: SimState, vectors: list[tuple[int, ...]]) -> bool:
-    """Halted: no spiking vector (`vectors` as enumerated at this state) and
-    no closed neuron.  That also means nothing is queued: a production stays
-    queued exactly while its rule's delay runs, which keeps its neuron closed."""
-    return not vectors and all(state.st)
+def _is_halted(state: SimState, choices: list[tuple[int, ...]]) -> bool:
+    """Halted: no choice (an empty choice table, or no vector listed from it)
+    and no closed neuron, which also means nothing is queued: a production
+    stays queued exactly while its rule's delay runs, keeping its neuron closed."""
+    return not choices and all(state.st)
 
 
 def run_trace(
@@ -436,14 +435,14 @@ def run_trace(
     state = initial_state(sys)
     records: list[StepRecord] = []
     while True:
-        candidates = enumerate_spiking_vectors(sys, state.config, state.st)
-        halted = _is_halted(state, candidates)
+        table = choice_table(sys, state.config, state.st)
+        halted = _is_halted(state, table)
         if halted or len(records) >= steps:
             break
-        if candidates:
-            sp = candidates[0] if policy == "first" else rng.choice(candidates)
-        else:
-            sp = (0,) * sys.rule_count  # idle: delays keep counting down
+        if policy == "random" and table:
+            sp = rng.choice(enumerate_spiking_vectors(sys, state.config, state.st))
+        else:  # every entry's head; an empty table idles while delays count down
+            sp = spiking_vector(sys, (rules[0] for rules in table))
         record, state = _make_record(sys, state, sp, mode, mats)
         records.append(record)
     records.append(_terminal_record(sys, state))

@@ -29,10 +29,8 @@ production is lost to a closure that no later mask cancels).
 from __future__ import annotations
 
 from .engine import (
-    Trace,
-    enumerate_spiking_vectors,
-    rule_status,
-    step_no_delay,
+    Trace, choice_table, enumerate_spiking_vectors, rule_status, spiking_vector,
+    step_no_delay, table_vectors,
 )
 from .matrices import IntMatrix, hadamard, spiking_matrix, vec_sub
 from .model import Record, SNPSystem
@@ -288,9 +286,11 @@ def decompose_sum_vector(
                     candidates_tried=1,
                 )
             entry = reached[residual]
-            valid = enumerate_spiking_vectors(sys, entry[2], ones)
-            usable = [sp for sp in valid if all(b <= r for b, r in zip(sp, residual))]
-            entry += [usable[0] if usable else None, valid[0] if valid else None]
+            choices = choice_table(sys, entry[2], ones)
+            # usable: only rules the residual still holds (none if an entry empties)
+            usable = table_vectors(sys, [[i for i in rules if residual[i]] for rules in choices])
+            head = spiking_vector(sys, (rules[0] for rules in choices)) if choices else None
+            entry += [usable[0] if usable else None, head]
             for sp in usable:
                 child = vec_sub(residual, sp)
                 if child not in reached:

@@ -84,3 +84,16 @@ def make_random_system(
     report = validate(sys)
     assert report.ok, report.entries
     return sys
+
+
+def ring_text(n: int) -> str:
+    """A ring of n neurons that each hold two spikes and two rules on a^2
+    (consume one or both), so every neuron has two applicable rules as
+    long as it keeps two spikes; the `first` choice keeps it at two."""
+    lines = []
+    for i in range(n):
+        lines.append(f"neuron n{i} spikes=2")
+        lines.append(f"rule n{i} E=a^2 c=1 p=1 d=0")
+        lines.append(f"rule n{i} E=a^2 c=2 p=1 d=0")
+    lines += [f"syn n{i} n{(i + 1) % n}" for i in range(n)]
+    return "\n".join(lines) + "\n"

@@ -3,11 +3,13 @@
 import itertools
 import json
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gensys import make_random_system
+from gensys import make_random_system, ring_text
 from snpkit.cli import json_default, main
 from snpkit.engine import (
     MODES,
@@ -17,6 +19,7 @@ from snpkit.engine import (
     _advance,
     achievable_first_intervals,
     check_step_identities,
+    choice_table,
     enumerate_spiking_vectors,
     formula_comparison_report,
     formula_step,
@@ -25,6 +28,7 @@ from snpkit.engine import (
     operational_step,
     rule_status,
     run_trace,
+    spiking_vector,
     step_no_delay,
     step_with_delay_v1,
     step_with_delay_v2,
@@ -77,16 +81,111 @@ def test_validity_membership_goldens(example1):
     assert not is_valid_spiking_vector(example1, C, St, (2, 0, 1, 1, 0))
 
 
+def dense_key_vectors(sys, C, St):
+    """The listing as it was before the choice table: the product of the
+    per-neuron choices as dense vectors, sorted by a key that re-derives
+    each vector's support."""
+    n = sys.rule_count
+    choices = []
+    for j in range(sys.neuron_count):
+        if not St[j]:
+            continue
+        applicable = tuple(i for i in sys.rules_of[j] if sys.rules[i].applicable(C[j]))
+        if applicable:
+            choices.append(applicable)
+    if not choices:
+        return []
+    out = []
+    for combo in itertools.product(*choices):
+        v = [0] * n
+        for i in combo:
+            v[i] = 1
+        out.append(tuple(v))
+    out.sort(key=lambda v: tuple(i for i, b in enumerate(v) if b))
+    return out
+
+
 @given(seed=st.integers(min_value=0, max_value=10**9))
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_is_valid_agrees_with_enumeration(seed):
+    """On systems whose rules' owners interleave (delays allowed), the
+    listing is the dense-key sort it replaced, the choice table's heads are
+    its head, and validity is membership in it: over every 0/1 vector up to
+    8 rules, else over the listing and random 0/1 vectors."""
     rng = random.Random(seed)
-    sys = make_random_system(rng, max_neurons=3, max_rules=6, max_spikes=4)
-    C = tuple(rng.randint(0, 4) for _ in range(sys.neuron_count))
+    sys = make_random_system(rng, max_neurons=4, max_rules=10, allow_delay=True)
+    C = tuple(rng.randint(0, 5) for _ in range(sys.neuron_count))
     St = tuple(rng.randint(0, 1) for _ in range(sys.neuron_count))
-    listed = set(enumerate_spiking_vectors(sys, C, St))
-    for bits in itertools.product((0, 1), repeat=sys.rule_count):
-        assert is_valid_spiking_vector(sys, C, St, bits) == (bits in listed)
+    listed = enumerate_spiking_vectors(sys, C, St)
+    assert listed == dense_key_vectors(sys, C, St)
+    table = choice_table(sys, C, St)
+    heads = spiking_vector(sys, (rules[0] for rules in table)) if table else None
+    assert heads == (listed[0] if listed else None)
+    members = set(listed)
+    if sys.rule_count <= 8:
+        bit_vectors = itertools.product((0, 1), repeat=sys.rule_count)
+    else:
+        bit_vectors = listed + [
+            tuple(rng.randint(0, 1) for _ in range(sys.rule_count)) for _ in range(64)
+        ]
+    for bits in bit_vectors:
+        assert is_valid_spiking_vector(sys, C, St, bits) == (bits in members)
+
+
+def _first_trace_by_listing(sys, steps, mode):
+    """run_trace's `first` policy as it was: each step takes the head of the
+    full sorted listing, and halting reads that listing."""
+    state = initial_state(sys)
+    records = []
+    while True:
+        listed = enumerate_spiking_vectors(sys, state.config, state.st)
+        halted = not listed and all(state.st)
+        if halted or len(records) >= steps:
+            return tuple(records), state, halted
+        sp = listed[0] if listed else (0,) * sys.rule_count
+        record, state = formula_step(sys, state, sp, mode)
+        records.append(record)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    steps=st.integers(min_value=0, max_value=12),
+    mode=st.sampled_from(MODES),
+)
+@settings(max_examples=200, deadline=None)
+def test_first_trace_matches_head_of_listing(seed, steps, mode):
+    rng = random.Random(seed)
+    sys = make_random_system(rng, max_neurons=4, max_rules=10, allow_delay=True)
+    trace = run_trace(sys, steps, policy="first", mode=mode)
+    records, state, halted = _first_trace_by_listing(sys, steps, mode)
+    assert trace.records[:-1] == records
+    assert trace.records[-1].C == state.config
+    assert (trace.final_state, trace.halted) == (state, halted)
+
+
+def test_first_trace_never_lists_the_product():
+    """14 neurons with two choices each: the listing would hold 2^14
+    vectors per step (an 11.9 MB traced peak); the table holds 28 rules."""
+    ring = parse_system(ring_text(14))
+    tracemalloc.start()
+    try:
+        trace = run_trace(ring, 5, policy="first")
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert trace.configs == ((2,) * 14,) * 6
+    assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_first_trace_does_not_call_the_listing(example3, mode):
+    expected = run_trace(example3, 8, policy="first", mode=mode)
+    with mock.patch(
+        "snpkit.engine.enumerate_spiking_vectors", side_effect=AssertionError("listed")
+    ):
+        trace = run_trace(example3, 8, policy="first", mode=mode)
+    assert trace == expected
+    assert len(trace.records) > 1
 
 
 # --- no-delay stepping --------------------------------------------------------

@@ -10,6 +10,7 @@ elimination and walk they replaced, kept below as a test-only reference.
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -20,13 +21,15 @@ from hypothesis import strategies as st
 
 import snpkit.reachability as reachability
 from conftest import SYSTEMS_DIR
-from gensys import make_random_system
+from gensys import make_random_system, ring_text
 from snpkit.cli import json_default
 from snpkit.engine import (
+    choice_table,
     enumerate_spiking_vectors,
     is_valid_spiking_vector,
     rule_status,
     run_trace,
+    spiking_vector,
     step_no_delay,
 )
 from snpkit.matrices import (
@@ -493,29 +496,58 @@ def decompose_by_replay(sys, C0, s_bar):
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.integers(0, 10**9), st.booleans(), st.integers(0, 5))
-def test_decomposition_matches_replay_reference(seed, walk, steps):
-    """Equal certificates, refusal tables included, on sum vectors drawn
-    uniformly in 0..3 per rule (mostly refusals) and as the sum of a
-    random valid walk of up to `steps` steps (witnesses)."""
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(("uniform", "walk", "candidates")),
+    st.integers(0, 5),
+)
+def test_decomposition_matches_replay_reference(seed, source, steps):
+    """Equal certificates, refusal tables included, against the reference
+    that lists every valid vector at each residual and then filters: on sum
+    vectors drawn uniformly in 0..3 per rule (mostly refusals), as the sum
+    of a random valid walk of up to `steps` steps (witnesses), and as the
+    first sum_vector_solutions candidates of a walked target shifted by a
+    random amount (witnesses and refusals at the same target)."""
     rng = random.Random(seed)
     sys = make_random_system(rng, allow_delay=False)
-    if walk:
-        M = spiking_matrix(sys)
-        ones = (1,) * sys.neuron_count
-        config, s_bar = sys.initial, (0,) * sys.rule_count
-        for _ in range(steps):
-            valid = enumerate_spiking_vectors(sys, config, ones)
-            if not valid:
-                break
-            sp = rng.choice(valid)
-            config, s_bar = step_no_delay(config, sp, M), vec_add(s_bar, sp)
+    M = spiking_matrix(sys)
+    ones = (1,) * sys.neuron_count
+    config, s_bar = sys.initial, (0,) * sys.rule_count
+    for _ in range(steps if source != "uniform" else 0):
+        valid = enumerate_spiking_vectors(sys, config, ones)
+        if not valid:
+            break
+        sp = rng.choice(valid)
+        config, s_bar = step_no_delay(config, sp, M), vec_add(s_bar, sp)
+    if source == "uniform":
+        s_bars = [tuple(rng.randint(0, 3) for _ in range(sys.rule_count))]
+    elif source == "walk":
+        s_bars = [s_bar]
     else:
-        s_bar = tuple(rng.randint(0, 3) for _ in range(sys.rule_count))
-    cert = decompose_sum_vector(sys, sys.initial, s_bar)
-    assert cert == decompose_by_replay(sys, sys.initial, s_bar)
-    if walk:
-        assert cert.reachable
+        target = tuple(x + rng.randint(0, 1) for x in config)
+        s_bars = sum_vector_solutions(M, sys.initial, target, min(steps, 3) + 1)[:10]
+    for s_bar in s_bars:
+        cert = decompose_sum_vector(sys, sys.initial, s_bar)
+        assert cert == decompose_by_replay(sys, sys.initial, s_bar)
+        if source == "walk":
+            assert cert.reachable
+
+
+def test_decomposition_lists_only_what_the_residual_holds():
+    """12 neurons with two choices each, at the sum vector of one `first`
+    step: the residual holds one rule per neuron, so one vector is built
+    where the full listing held 2^12 (a 1.58 MB traced peak)."""
+    ring = parse_system(ring_text(12))
+    table = choice_table(ring, ring.initial, (1,) * 12)
+    heads = spiking_vector(ring, (rules[0] for rules in table))
+    tracemalloc.start()
+    try:
+        cert = decompose_sum_vector(ring, ring.initial, heads)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert (cert.verdict, cert.spiking_vectors) == ("reachable", (heads,))
+    assert peak < 500_000, peak
 
 
 # --- end-to-end decisions -------------------------------------------------------

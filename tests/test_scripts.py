@@ -60,12 +60,15 @@ def test_formula_report_gating_identity_at_replayed_states():
     )
 
 
-# The digests of seed 1's queries: a change that alters any byte the CLI
-# prints (JSON layout, matrix text, a verdict) fails here.  A change that
-# alters the output on purpose updates them.
+# The query count and digest of seed 1's queries: a change that alters any
+# byte the CLI prints (JSON layout, matrix text, a trace's choices, a
+# verdict) fails here.  A change that alters the output on purpose updates
+# them.
 REPLAY_SEED_1 = {
-    "reach": "924e694eeaeaf5a6e12b23fce1ea67bf7fe9926e1c2db15dba5bf1b6d5275bc2",
-    "static": "700b45b577a19d0967b95f5e9b62b397b4829febea3f9d90d2111e72ebdac7e1",
+    "sim": (105, "ca1ff041a76ef6afa24a97b1a08e22d1073d61d474f5e60b86cd6312d49e153b"),
+    "explore": (104, "d799e956ac4695cfc8642cacfcfb127c691b355ea9d1bd320b9241ed109120f7"),
+    "reach": (105, "924e694eeaeaf5a6e12b23fce1ea67bf7fe9926e1c2db15dba5bf1b6d5275bc2"),
+    "static": (105, "700b45b577a19d0967b95f5e9b62b397b4829febea3f9d90d2111e72ebdac7e1"),
 }
 
 
@@ -73,5 +76,6 @@ def test_replay_outputs_prints_one_digest_per_workload():
     proc = run_script("replay_outputs.py", *REPLAY_SEED_1, "--seeds", "1")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        f"{name} seeds 1: 105 queries sha256 {sha}" for name, sha in REPLAY_SEED_1.items()
+        f"{name} seeds 1: {count} queries sha256 {sha}"
+        for name, (count, sha) in REPLAY_SEED_1.items()
     ]
