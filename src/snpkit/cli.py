@@ -406,4 +406,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    code = main()
+    if _sys.gettrace() is None and _sys.getprofile() is None:
+        # skip the interpreter's teardown of every loaded module; a profiler
+        # or coverage tracer keeps the normal exit, which reports
+        _sys.stdout.flush()
+        _sys.stderr.flush()
+        os._exit(code)
+    raise SystemExit(code)

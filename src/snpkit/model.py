@@ -73,18 +73,21 @@ class Rule(Record, uncompared=("guard",)):
 def make_rule(
     owner: int, guard_src: str | None, c: int, p: int, d: int, guards: dict | None = None
 ) -> Rule:
-    """Build a Rule with a compiled, canonicalized guard.  `guards` maps
-    canonical sources to the guards compiled so far (parse_system keeps one
-    per file): equal source means an equal language and lasso, so each
-    distinct guard is compiled once."""
-    ast = parse_regex(guard_src) if guard_src is not None else parse_regex(
-        "a" if c == 1 else f"a^{c}"
-    )
-    src = print_regex(ast)
+    """Build a Rule with a compiled, canonicalized guard.  `guards` maps each
+    source seen so far, written or canonical, to its canonical source and
+    compiled guard (parse_system keeps one per file): each written source is
+    parsed once, and equal canonical source means an equal language and
+    lasso, so each distinct guard is compiled once."""
+    written = guard_src if guard_src is not None else "a" if c == 1 else f"a^{c}"
     guards = {} if guards is None else guards
-    if src not in guards:
-        guards[src] = compile_ast(ast)
-    return Rule(owner=owner, guard_src=src, c=c, p=p, d=d, guard=guards[src])
+    if written not in guards:
+        ast = parse_regex(written)
+        src = print_regex(ast)
+        if src not in guards:  # a canonical source prints as itself
+            guards[src] = src, compile_ast(ast)
+        guards[written] = guards[src]
+    src, guard = guards[written]
+    return Rule(owner=owner, guard_src=src, c=c, p=p, d=d, guard=guard)
 
 
 class SNPSystem(Record):
@@ -150,7 +153,7 @@ def parse_system(text: str) -> SNPSystem:
     names: list[str] = []
     initial: list[int] = []
     rules: list[Rule] = []
-    guards: dict[str, SemilinearMembership] = {}
+    guards: dict[str, tuple[str, SemilinearMembership]] = {}
     syn: list[tuple[int, int]] = []
     seen_syn: set[tuple[int, int]] = set()
     out_neuron: int | None = None

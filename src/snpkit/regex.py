@@ -2,12 +2,15 @@
 
 Rule guards in a spiking system are regular expressions over a single
 symbol, so a guard's language is fully described by the set of spike
-counts it accepts.  That set is ultimately periodic: after some
-threshold T the membership of n depends only on n mod P.  ``compile_ast``
-extracts the (T, P, residues) form once, by determinizing Glushkov's
-position automaton (one state per a the expression spells, no epsilon
-edges), after which ``matches`` is an O(1) table lookup.  ``nfa_matches``
-steps that automaton n times, a route independent of the lasso extraction.
+counts it accepts.  That set is ultimately periodic (Chrobak 1986): after
+some threshold T the membership of n depends only on n mod P.
+``compile_ast`` composes the minimal (T, P, residues) form once, bottom up
+over the expression, each part held as a bitset over [0, T + P): union
+over the lcm of the periods, concatenation as a sumset, star as a
+numerical monoid through its Apery set.  After that ``matches`` is an O(1)
+table lookup.  ``nfa_matches`` steps Glushkov's position automaton (one
+state per a the expression spells, no epsilon edges) n times, a route
+independent of the composition.
 
 Grammar (no whitespace; offsets in error messages are byte offsets)::
 
@@ -19,13 +22,17 @@ Grammar (no whitespace; offsets in error messages are byte offsets)::
 ``a^k`` denotes k consecutive a's.  ``a^0`` (the empty word) is only
 accepted when the factor is starred, e.g. ``a^0*``; a bare ``a^0`` is a
 syntax error so users cannot write a plain lambda literal.  A lasso may be
-far longer than its automaton (Chrobak 1986), so ``compile_ast`` refuses, at
-offset 0, a guard whose walk would store frontiers holding more than
-MAX_WALK positions in all; a lone literal never walks.
+far longer than its expression, so ``compile_ast`` refuses, at offset 0, a
+guard with a literal inside that spells more than MAX_WALK a's, a set
+spanning more than MAX_WALK counts, or work past MAX_WALK steps, before
+building the set or doing the work; a lone literal never composes.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import compress
+from math import gcd, inf, lcm
 from operator import attrgetter
 
 __all__ = [
@@ -92,7 +99,7 @@ class Star(Record):
 
 RegexAst = Literal | Concat | Union | Star
 MAX_NESTING = 100  # parentheses nested deeper are refused, not recursed into
-MAX_WALK = 10**6  # positions the stored frontiers of one guard's walk may hold in all
+MAX_WALK = 10**6  # counts one composed set may span, and steps one guard may take
 
 
 class RegexSyntaxError(ValueError):
@@ -204,9 +211,10 @@ def print_regex(ast: RegexAst) -> str:
 
 # --- Glushkov's position automaton ------------------------------------------
 #
-# Each a the expression spells is one position, numbered in order; inside a
-# literal q + 1 follows q.  After n >= 1 a's the run is at a set of positions
-# and accepts iff that set meets the last positions.  There are no epsilon
+# The route of nfa_matches, independent of the composition.  Each a the
+# expression spells is one position, numbered in order; inside a literal
+# q + 1 follows q.  After n >= 1 a's the run is at a set of positions and
+# accepts iff that set meets the last positions.  There are no epsilon
 # edges.  Sets are shared, never copied, so the automaton stays linear in
 # the expression: a set is a tuple or list of positions and of further sets.
 # The last positions of a node share a list, its cell, to which the node
@@ -297,9 +305,9 @@ class SemilinearMembership(Record, uncompared=("state_count",)):
     matches(n) is n in tail for n < threshold and cycle[(n - threshold) %
     period] otherwise; tail holds the accepted counts below threshold and
     cycle is one period.  threshold and period are minimal, so equal
-    languages compile to equal objects.  state_count is the number of
-    distinct subset states along the determinized run, which depends on
-    the expression, so it stays out of eq, hash and repr.
+    languages compile to equal objects.  state_count is threshold + period,
+    the size of the minimal unary automaton; it is derived from the other
+    fields, so it stays out of eq, hash and repr.
     """
 
     threshold: int
@@ -324,46 +332,188 @@ class SemilinearMembership(Record, uncompared=("state_count",)):
         return self.finite_language() == frozenset([n])
 
 
+# --- composing lassos ---------------------------------------------------------
+#
+# A lasso (t, p, bits) is a language whose membership from t on depends only
+# on n mod p; bit n of the int bits says whether n is in it, for n in the
+# window [0, t + p), and bits holds nothing above the window.  Every lasso
+# below is normal (minimal p, then minimal t), so equal languages are equal
+# triples.
+
+
+def _mask(n: int) -> int:
+    return (1 << n) - 1
+
+
+def _fill(t: int, p: int, bits: int, w: int) -> int:
+    """The bits of the lasso over [0, w), for w >= t + p."""
+    cycle, n = bits >> t, p
+    while n < w - t:  # repeat the cycle by doubling, not bit by bit
+        cycle |= cycle << n
+        n += n
+    return (bits & _mask(t) | cycle << t) & _mask(w)
+
+
+def _normal(t: int, p: int, bits: int) -> tuple[int, int, int]:
+    """The same language with the minimal period, then the minimal threshold."""
+    cycle = format(bits >> t, "b").zfill(p)
+    p = (cycle + cycle).find(cycle, 1)  # the least rotation that maps it to itself
+    t = ((bits ^ bits >> p) & _mask(t)).bit_length()  # past the last n != n + p
+    return t, p, bits & _mask(t + p)
+
+
+def _members(bits: int):
+    """The members of a bitset, ascending."""
+    ones = bin(bits)[:1:-1]
+    n = ones.find("1")
+    while n >= 0:
+        yield n
+        n = ones.find("1", n + 1)
+
+
+def _apery(m: int, gens: list[int]) -> list[int]:
+    """The least element of each residue mod m in the monoid that m and gens
+    generate: shortest paths over the residues, one generator at a time, by
+    the round robin of Bocker & Liptak (2007), which walks each cycle of
+    +a mod m from its least entry."""
+    least: list = [0] + [inf] * (m - 1)
+    for a in gens:
+        d = gcd(a, m)
+        for r in range(d):
+            q = min(range(r, m, d), key=least.__getitem__)
+            best = least[q]
+            if best == inf:
+                continue
+            for _ in range(m // d - 1):
+                q = (q + a) % m
+                best += a
+                if least[q] < best:
+                    best = least[q]
+                else:
+                    least[q] = best
+    return [n for n in least if n != inf]
+
+
+class _Composer:
+    """The normal lasso of each node, bottom up: union over the lcm of the
+    periods, concatenation as a sumset, star as a numerical monoid through
+    its Apery set (Nijenhuis 1979).  ``steps`` counts the work done so far:
+    one per 64-position word of each copy of a set that is shifted or OR-ed,
+    and one per member scanned or residue updated."""
+
+    def __init__(self):
+        self.steps = 0
+
+    def spend(self, window: int, copies: int, steps: int = 0) -> None:
+        """Refuse, before the work is done, a set past MAX_WALK positions, or
+        work that takes the guard past MAX_WALK steps in all."""
+        if window > MAX_WALK:
+            raise RegexSyntaxError(f"compiling would store more than {MAX_WALK} positions", 0)
+        self.steps += copies * (window // 64 + 1) + steps
+        if self.steps > MAX_WALK:
+            raise RegexSyntaxError(f"compiling would take more than {MAX_WALK} steps", 0)
+
+    def lasso(self, node: RegexAst) -> tuple[int, int, int]:
+        if isinstance(node, Literal):
+            if node.count < 0:
+                raise ValueError("negative literal count")
+            self.spend(node.count, 1)  # the a's it spells, as a walk would hold them
+            return node.count + 1, 1, 1 << node.count
+        if isinstance(node, Concat):
+            if not node.parts:
+                raise ValueError("empty concat")
+            return reduce(self.concat, map(self.lasso, node.parts))
+        if isinstance(node, Union):
+            if not node.parts:
+                raise ValueError("empty union")
+            return reduce(self.union, map(self.lasso, node.parts))
+        if isinstance(node, Star):
+            return self.star(*self.lasso(node.child))
+        raise TypeError(f"not a regex node: {node!r}")
+
+    def union(self, a: tuple, b: tuple) -> tuple[int, int, int]:
+        (ta, pa, xa), (tb, pb, xb) = a, b
+        t, p = max(ta, tb), lcm(pa, pb)
+        self.spend(t + p, 2)
+        return _normal(t, p, _fill(ta, pa, xa, t + p) | _fill(tb, pb, xb, t + p))
+
+    def concat(self, a: tuple, b: tuple) -> tuple[int, int, int]:
+        if a[2].bit_count() > b[2].bit_count():
+            a, b = b, a  # shift copies of b by the members of the sparser a
+        ta, pa, xa = a
+        if not xa >> ta:
+            return self.shift(xa, b)
+        # a is its tail and its cycle plus the multiples of pa
+        parts = [self.shift(xa >> ta << ta, self.close(b, pa))]
+        if xa & _mask(ta):
+            parts.append(self.shift(xa & _mask(ta), b))
+        return reduce(self.union, parts)
+
+    def shift(self, by: int, b: tuple) -> tuple[int, int, int]:
+        """The lasso of b shifted by each member of the finite set by."""
+        tb, pb, xb = b
+        t = by.bit_length() - 1 + tb
+        w = t + pb
+        self.spend(w, by.bit_count())
+        xb = _fill(tb, pb, xb, w)
+        out = 0
+        for n in _members(by):
+            out |= xb << n
+        return _normal(t, pb, out & _mask(w))
+
+    def close(self, b: tuple, q: int) -> tuple[int, int, int]:
+        """The lasso of b + q N: q-periodic past b's tail, and past where the
+        monoid q N + pb N holds every multiple of gcd(q, pb), lcm - q - pb + gcd,
+        above b's cycle."""
+        tb, pb, xb = b
+        t = tb + lcm(q, pb) - q + gcd(q, pb) - 1 if xb >> tb else tb - 1
+        w = t + q
+        self.spend(w, (w // q).bit_length())
+        xb, n = _fill(tb, pb, xb, max(w, tb + pb)), q
+        while n < w:
+            xb = (xb | xb << n) & _mask(w)
+            n += n
+        return _normal(t, q, xb & _mask(w))
+
+    def star(self, t: int, p: int, bits: int) -> tuple[int, int, int]:
+        """The monoid the members generate: the least nonzero member m and
+        the least member of each other residue mod m generate it too."""
+        cycles = bits >> t != 0
+        rest = bits & ~1
+        if not rest and not cycles:
+            return 1, 1, 1  # the star of {0}
+        m = (rest & -rest).bit_length() - 1 if rest else p  # the least nonzero member
+        if cycles:  # past t + lcm(p, m), n - lcm(p, m) is in with n's residue mod m
+            self.spend(t + lcm(p, m), 1)
+            rest = _fill(t, p, bits, t + lcm(p, m)) & ~1
+        self.spend(0, 0, rest.bit_count())
+        least: dict[int, int] = {}  # the least member of each residue mod m
+        for n in _members(rest):
+            least.setdefault(n % m, n)
+            if len(least) == m:
+                break
+        gens = [n for r, n in least.items() if r]
+        self.spend(0, 0, len(gens) * m)
+        apery = _apery(m, gens) if gens else [0]  # (a^k)* needs no table of k residues
+        top = max(apery)
+        self.spend(top + 2, 1)
+        digits = bytearray(b"0" * (top + 1))  # one pass, not one shifted copy each
+        for n in apery:
+            digits[top - n] = 49  # "1"
+        return self.close((top + 1, 1, int(digits, 2)), m)  # the monoid is its Apery set + m N
+
+
 def compile_ast(ast: RegexAst) -> SemilinearMembership:
-    """Determinize the position automaton and extract the minimal lasso.
-    Raises RegexSyntaxError if the walk would pass MAX_WALK."""
+    """Compose the minimal lasso of the expression bottom up.  Raises
+    RegexSyntaxError, at offset 0, if a set or the work would pass MAX_WALK."""
     if isinstance(ast, Literal) and ast.count >= 0:
-        # the lasso of a^k is known without its k-state chain
+        # the lasso of a^k is known without its bits
         k = ast.count
         return SemilinearMembership(k + 1, 1, frozenset((k,)), (False,), k + 2)
-    ends, end = _positions(ast)
-    over = f"compiling would store more than {MAX_WALK} positions"
-    if max(ends) >= MAX_WALK:  # each position shows up in some stored frontier
-        raise RegexSyntaxError(over, 0)
-    seen: dict[frozenset[int], int] = {}
-    accepts: list[bool] = []
-    frontier = frozenset({-1})  # "nothing read": no later frontier holds -1
-    held = -1  # positions in the stored frontiers; the start marker is none
-    while frontier not in seen:
-        held += len(frontier)
-        if held > MAX_WALK:
-            raise RegexSyntaxError(over, 0)
-        seen[frontier] = len(accepts)
-        frontier, accept = _follow(frontier, ends, end)
-        accepts.append(accept)
-    loop_start = seen[frontier]
-    t_raw, p_raw = loop_start, len(accepts) - loop_start
-    # minimal period of the cyclic part
-    cyc = accepts[t_raw:]
-    period = next(
-        p
-        for p in range(1, p_raw + 1)
-        if p_raw % p == 0 and all(cyc[i] == cyc[i % p] for i in range(p_raw))
-    )
-    # shrink the threshold while the tail already follows the cycle
-    threshold = t_raw
-    while threshold > 0 and accepts[threshold - 1] == cyc[(threshold - 1 - t_raw) % period]:
-        threshold -= 1
-    # one period, rotated so cycle[0] corresponds to n = threshold
-    off = (threshold - t_raw) % period
-    tail = frozenset(n for n in range(threshold) if accepts[n])
-    cycle = tuple(cyc[(off + i) % p_raw] for i in range(period))
-    return SemilinearMembership(threshold, period, tail, cycle, len(accepts))
+    t, p, bits = _Composer().lasso(ast)
+    ones = format(bits, "b").zfill(t + p)[::-1]  # n = 0 first
+    tail = frozenset(compress(range(t), map("1".__eq__, ones)))
+    return SemilinearMembership(t, p, tail, tuple(map("1".__eq__, ones[t:])), t + p)
 
 
 def compile_regex(src: str) -> SemilinearMembership:

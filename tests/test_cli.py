@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import jsonschema
@@ -688,6 +689,70 @@ def test_module_entry_point_subprocess():
     assert "k=5 C=(0, 1, 0)" in proc.stdout
 
 
+BAD = str(TESTS_DIR / "golden" / "bad.snp")
+ENTRY_ARGV = [
+    ["validate", EXAMPLE1],
+    ["validate", EXAMPLE1, "--format", "json"],
+    ["validate", BAD],
+    ["validate", BAD, "--format", "json"],
+    ["matrices", EXAMPLE1, "--format", "json"],
+    ["simulate", EXAMPLE3, "--steps", "5", "--mode", "paper-trace"],
+    ["simulate", EXAMPLE1, "--steps", "4", "--policy", "exhaustive", "--format", "json"],
+    ["analyze", EXAMPLE1],
+    ["reach", EXAMPLE1, "--target", "2,1,2", "--kmax", "2", "--format", "json"],
+    ["reach", EXAMPLE1, "--target", "2,0,2", "--kmax", "2"],
+    ["validate", str(SYSTEMS_DIR / "missing.snp")],
+    ["simulate", EXAMPLE1, "--steps", "-1"],
+    ["frobnicate", EXAMPLE1],
+]
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    # the entry point ends without interpreter teardown; what it prints and
+    # its exit code stay those of cli.main, argparse's exit 2 included
+    codes = set()
+    for argv in ENTRY_ARGV:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        want = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "snpkit.cli", *argv],
+            capture_output=True,
+            cwd=str(REPO_ROOT),
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        )
+        assert proc.returncode == code, argv
+        assert (proc.stdout, proc.stderr) == (want.out.encode(), want.err.encode()), argv
+        codes.add(code)
+    assert codes == {0, 1, 2}
+
+
+def test_module_entry_point_skips_teardown_unless_traced():
+    # an atexit hook runs only on the normal exit, which a profiler keeps
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    hook = (
+        "import atexit, runpy, sys; atexit.register(print, 'teardown'); "
+        "sys.argv = ['snpkit', 'validate', sys.argv[1]]; "
+        "runpy.run_module('snpkit.cli', run_name='__main__')"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", hook, EXAMPLE1], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"{EXAMPLE1}: ok (3 neurons, 5 rules)\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "snpkit.cli", "validate", EXAMPLE1],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(f"{EXAMPLE1}: ok (3 neurons, 5 rules)\n")
+    assert "function calls" in proc.stdout and "Ordered by" in proc.stdout
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -715,7 +780,7 @@ def test_closed_stdout_exits_2_without_traceback(argv):
     assert proc.stderr == "snpkit: error: output closed early (broken pipe)\n"
 
 
-LADDER = "(" + "|".join(f"a^{k}" for k in range(1, 401)) + ")*"  # 80,200 positions
+LADDER = "(" + "|".join(f"a^{k}" for k in range(2000, 2003)) + ")*"  # threshold ~2 million
 COPRIME = "(a^31)*|(a^29)*|(a^23)*|(a^19)*|(a^17)*"  # period 6.7 million
 
 
@@ -739,8 +804,8 @@ def limit_memory():
          "ladder-reach", "coprime-validate"],
 )
 def test_guard_past_walk_budget_exit_2_without_traceback(tmp_path, guard, argv):
-    # small guards whose lassos need millions of subset states are refused
-    # by the walk budget, not by running out of memory
+    # small guards whose lassos span millions of positions are refused by
+    # the budget, not by running out of memory
     pytest.importorskip("resource")
     path = tmp_path / "wide.snp"
     path.write_text(f"neuron a spikes=1\nneuron b spikes=0\nrule a E={guard} c=1 p=1 d=0\nsyn a b\n")
@@ -758,6 +823,28 @@ def test_guard_past_walk_budget_exit_2_without_traceback(tmp_path, guard, argv):
         f"snpkit: error: {path}: line 3: bad guard regex: compiling would store "
         "more than 1000000 positions (offset 0)"
     ]
+
+
+@pytest.mark.parametrize(
+    "guard, limit",
+    [
+        ("(a^700|a^701)*", 1.0),
+        ("(a^700|a^701)*(a^690|a^691)*", 1.0),
+        ("(a^300000|a^300001)*(a^299999)*", 1.0),
+        ("(a^300000)*", 1.0),
+        ("(a^999999)*|a", 0.1),
+        (COPRIME, 1.0),
+    ],
+    ids=["pair", "pair-pair", "huge-pair", "huge-star", "just-past", "coprime"],
+)
+def test_guard_compiles_or_is_refused_in_bounded_time(capsys, tmp_path, guard, limit):
+    path = tmp_path / "guard.snp"
+    path.write_text(f"neuron a spikes=1\nneuron b spikes=0\nrule a E={guard} c=1 p=1 d=0\nsyn a b\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "validate", str(path))
+    took = time.perf_counter() - start
+    assert code in (0, 2) and "Traceback" not in err
+    assert took < limit, f"{took:.2f} s"
 
 
 def test_cli_import_loads_no_rational_arithmetic():

@@ -15,7 +15,7 @@ from snpkit.model import (
     serialize_system,
     validate,
 )
-from snpkit.regex import compile_ast
+from snpkit.regex import compile_ast, parse_regex
 
 
 def test_parse_first_golden_system(example1):
@@ -185,6 +185,34 @@ def test_each_distinct_guard_is_compiled_once_per_file(monkeypatch):
     assert s.rules[3].guard is s.rules[4].guard
     parse_system(text)  # a new file compiles its own guards
     assert len(compiled) == 4
+
+
+def test_each_written_guard_is_parsed_once_per_file(monkeypatch):
+    parsed, compiled = [], []
+
+    def parsing(src):
+        parsed.append(src)
+        return parse_regex(src)
+
+    def compiling(ast):
+        compiled.append(ast)
+        return compile_ast(ast)
+
+    monkeypatch.setattr(model, "parse_regex", parsing)
+    monkeypatch.setattr(model, "compile_ast", compiling)
+    text = (
+        "neuron x spikes=1\nneuron y spikes=0\n"
+        + "rule x E=a(aa)* c=1 p=1 d=0\n" * 3
+        + "rule y E=a(a^2)* c=1 p=1 d=0\nrule y E=aa^2* c=1 p=1 d=0\n"
+        + "rule y c=2 p=0 d=0\n" * 2
+        + "rule x E=a^2 c=2 p=1 d=0\n"
+    )
+    s = parse_system(text)
+    # the canonical source aa^2* and the default a^2 need no parse of their own
+    assert parsed == ["a(aa)*", "a(a^2)*", "a^2"]
+    assert len(compiled) == 2
+    assert [r.guard_src for r in s.rules] == ["aa^2*"] * 5 + ["a^2"] * 3
+    assert len({id(r.guard) for r in s.rules}) == 2
 
 
 @given(seed=st.integers(min_value=0, max_value=10**9))

@@ -101,10 +101,10 @@ def test_nesting_deeper_than_limit_is_a_syntax_error():
     assert exc.value.offset == MAX_NESTING
 
 
-# (a^31)*|...|(a^17)* has 119 positions and a period of 6.7 million; the
-# ladder (a|a^2|...|a^400)* has 80,200 positions and N^3/6 in its frontiers
+# (a^31)*|...|(a^17)* has a period of 6.7 million; the ladder
+# (a^2000|a^2001|a^2002)* misses every count up to about 2 million
 COPRIME = "(a^31)*|(a^29)*|(a^23)*|(a^19)*|(a^17)*"
-LADDER = "(" + "|".join(f"a^{k}" for k in range(1, 401)) + ")*"
+LADDER = "(" + "|".join(f"a^{k}" for k in range(2000, 2003)) + ")*"
 
 
 @pytest.mark.parametrize(
@@ -113,7 +113,7 @@ LADDER = "(" + "|".join(f"a^{k}" for k in range(1, 401)) + ")*"
         f"(a^{MAX_WALK + 1})*",
         f"a|a^{10**20 - 1}",
         f"(a^{MAX_WALK // 2 + 1}a^{MAX_WALK // 2})*",
-        f"a^{MAX_WALK // 2}|a^{MAX_WALK // 2}a",
+        f"a^{MAX_WALK // 2}|a^{MAX_WALK}",
         LADDER,
         COPRIME,
     ],
@@ -127,15 +127,17 @@ def test_guards_over_walk_budget_refused(src):
 
 
 def test_guards_within_walk_budget_or_lone_compile(monkeypatch):
-    # a lone literal never walks, whatever its length
+    # a lone literal never composes, whatever its length
     assert compile_regex(f"a^{MAX_WALK}a^{MAX_WALK}").tail == frozenset((2 * MAX_WALK,))
     assert compile_regex(f"(a^{10**20 - 1})").threshold == 10**20
-    # (a^k)* stores the frontiers {0}, ..., {k - 1}: k positions, at most the
-    # budget (a smaller one here, to keep the walk short)
+    # a literal inside may spell the budget's count of a's, and each set built
+    # from it may span that many positions (a smaller budget here)
     monkeypatch.setattr(regex, "MAX_WALK", 5000)
     assert compile_regex("(a^5000)*").period == 5000
-    with pytest.raises(RegexSyntaxError):
-        compile_regex("(a^5001)*")
+    assert compile_regex("a^4998|a").threshold == 4999
+    for src in ("(a^5001)*", "a^4999|a"):  # a^4999|a spans 5,001 positions
+        with pytest.raises(RegexSyntaxError, match="store more than 5000 positions"):
+            compile_regex(src)
 
 
 def test_literal_merge_only_for_adjacent_unstarred():
@@ -245,7 +247,7 @@ def test_three_routes_agree(ast, n):
 @settings(max_examples=200, deadline=None)
 def test_literal_lasso_matches_nfa_route(k, n):
     m = compile_ast(Literal(k))
-    # a one-part Concat builds the literal's own positions and walks them
+    # a one-part Concat composes the literal's own bits
     via_nfa = compile_ast(Concat((Literal(k),)))
     assert m == via_nfa and m.state_count == via_nfa.state_count
     assert m.matches(n) == nfa_matches(Literal(k), n) == (n == k)
@@ -260,8 +262,8 @@ def test_literal_guard_compiles_without_nfa(monkeypatch):
     assert (m.threshold, m.period, m.cycle, m.state_count) == (3000001, 1, (False,), 3000002)
     assert m.tail == m.finite_language() == frozenset((3000000,))
     assert m.matches(3000000) and not m.matches(2999999) and not m.matches(3000001)
-    with pytest.raises(AssertionError):  # everything else still takes the positions
-        compile_regex("a^3*")
+    # everything else composes lassos too: only nfa_matches takes the positions
+    assert compile_regex("a^3*") == compile_regex("(a^6)*|a^3(a^6)*")
 
 
 def from_lasso(m):
@@ -404,7 +406,13 @@ def thompson_run(ast) -> tuple[list[bool], int]:
 
 
 def thompson_compile(ast) -> regex.SemilinearMembership:
-    accepts, loop_start = thompson_run(ast)
+    return run_lasso(*thompson_run(ast))
+
+
+def run_lasso(accepts: list[bool], loop_start: int) -> regex.SemilinearMembership:
+    """The minimal lasso of a determinized run: acceptance per subset state,
+    and the state the last one steps back to.  state_count is the run's
+    number of states."""
     t_raw, p_raw = loop_start, len(accepts) - loop_start
     cyc = accepts[t_raw:]
     period = next(
@@ -443,11 +451,37 @@ def thompson_matches(ast, n: int) -> bool:
 @example(ast=Star(Star(Union((Literal(2), Star(Literal(3)))))))
 @settings(max_examples=300, deadline=None)
 def test_positions_agree_with_thompson_reference(ast):
-    m, ref = compile_ast(ast), thompson_compile(ast)
-    assert m == ref
-    assert m.state_count == ref.state_count
+    walked, ref = walk_compile(ast), thompson_compile(ast)
+    assert walked == ref == compile_ast(ast)
+    assert walked.state_count == ref.state_count
     for n in range(UPTO + 1):
         assert nfa_matches(ast, n) == thompson_matches(ast, n), n
+
+
+def walk_compile(ast, budget=MAX_WALK) -> regex.SemilinearMembership:
+    """The subset walk that compile_ast replaced, kept as the reference:
+    determinize the position automaton, then extract the minimal lasso.
+    Raises RegexSyntaxError if the stored frontiers would hold more than
+    budget positions in all."""
+    if isinstance(ast, Literal) and ast.count >= 0:
+        k = ast.count
+        return regex.SemilinearMembership(k + 1, 1, frozenset((k,)), (False,), k + 2)
+    ends, end = regex._positions(ast)
+    over = f"compiling would store more than {budget} positions"
+    if max(ends) >= budget:  # each position shows up in some stored frontier
+        raise RegexSyntaxError(over, 0)
+    seen: dict[frozenset[int], int] = {}
+    accepts: list[bool] = []
+    frontier = frozenset({-1})  # "nothing read": no later frontier holds -1
+    held = -1  # positions in the stored frontiers; the start marker is none
+    while frontier not in seen:
+        held += len(frontier)
+        if held > budget:
+            raise RegexSyntaxError(over, 0)
+        seen[frontier] = len(accepts)
+        frontier, accept = regex._follow(frontier, ends, end)
+        accepts.append(accept)
+    return run_lasso(accepts, seen[frontier])
 
 
 def held(ast) -> int:
@@ -468,14 +502,12 @@ def held(ast) -> int:
 def test_walk_budget_refuses_exactly_past_held_positions(ast):
     need, ref = held(ast), thompson_compile(ast)
     for budget in (0, 3, 40):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(regex, "MAX_WALK", budget)
-            if need > budget and not isinstance(ast, Literal):
-                with pytest.raises(RegexSyntaxError):
-                    compile_ast(ast)
-            else:
-                m = compile_ast(ast)
-                assert m == ref and m.state_count == ref.state_count
+        if need > budget and not isinstance(ast, Literal):
+            with pytest.raises(RegexSyntaxError):
+                walk_compile(ast, budget)
+        else:
+            m = walk_compile(ast, budget)
+            assert m == ref and m.state_count == ref.state_count
 
 
 @pytest.mark.parametrize("budget", [0, 3, 40, MAX_WALK])
@@ -487,6 +519,99 @@ def test_positions_past_budget_refused_before_walking(monkeypatch, budget):
     monkeypatch.setattr(regex, "MAX_WALK", budget)
     with pytest.raises(RegexSyntaxError):
         compile_regex(f"(a^{budget + 1})*")
+
+
+# literals up to a few thousand, nullable parts, a^0* and starred unions of
+# coprime lengths: the shapes whose lassos the composition builds from bits
+wide_asts = st.recursive(
+    st.one_of(
+        st.integers(min_value=1, max_value=3000).map(Literal),
+        st.integers(min_value=1, max_value=12).map(Literal),
+        st.just(Star(Literal(0))),
+        st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=2, max_size=3, unique=True).map(
+            lambda ks: Union(tuple(Star(Literal(k)) for k in ks))
+        ),
+    ),
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=2, max_size=3).map(lambda ps: Concat(tuple(ps))),
+        st.lists(kids, min_size=2, max_size=3).map(lambda ps: Union(tuple(ps))),
+        kids.map(Star),
+    ),
+    max_leaves=5,
+)
+
+
+@given(ast=wide_asts, data=st.data())
+@example(ast=parse_regex("(a^7)*|(a^5)*|(a^3)*"), data=None)
+@example(ast=parse_regex("(a^0*|a^40)(a^3|a*)(a^2999|a^0*)"), data=None)
+@example(ast=parse_regex("(a^2)*(a^3)*"), data=None)  # periodic only from 2
+@example(ast=parse_regex("((a^97a^12)*|a^80(a^23)*)(a^230)*a^5"), data=None)
+@settings(max_examples=120, deadline=None)
+def test_composition_agrees_with_walk_and_positions(ast, data):
+    try:
+        walked = walk_compile(ast, 200000)  # a smaller budget, to keep walks short
+    except RegexSyntaxError:
+        walked = None
+    try:
+        m = compile_ast(ast)
+    except RegexSyntaxError:
+        m = None
+    if walked is not None:  # the composition refuses no guard the walk takes
+        assert m == walked
+    if m is not None:
+        assert m.state_count == m.threshold + m.period
+        edge = min(m.threshold + 2 * m.period, 4000)
+        counts = {0, 1, min(m.threshold, edge), edge}
+        if data is not None:
+            counts.add(data.draw(st.integers(min_value=0, max_value=edge)))
+        for n in counts:
+            assert m.matches(n) == nfa_matches(ast, n), n
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "(a^700|a^701)*",
+        "(a^700|a^701)*(a^690|a^691)*",
+        "(a^300000|a^300001)*(a^299999)*",
+        "(a^300000)*",
+        "(a^999999)*|a",
+        COPRIME,
+        "(" + "|".join(f"a^{k}" for k in range(1, 401)) + ")*",
+        "(a^1000)*|(a^999)*",
+        "(a^999)*(a^1000)*",
+        "a^500000|a^500001",
+        # the guard families of the static benchmark
+        "a^3a*",
+        "a^2(aa)*",
+        "a^3(a^23|a^29)*",
+    ],
+)
+def test_every_guard_compiles_without_positions(monkeypatch, src):
+    def no_positions(*args):
+        raise AssertionError("the position automaton was built")
+
+    monkeypatch.setattr(regex, "_positions", no_positions)
+    monkeypatch.setattr(regex, "_follow", no_positions)
+    try:
+        compile_regex(src)
+    except RegexSyntaxError as exc:
+        assert exc.offset == 0
+
+
+def test_composed_lassos_of_known_monoids():
+    ladder = compile_regex("(" + "|".join(f"a^{k}" for k in range(1, 401)) + ")*")
+    assert ladder == compile_regex("a*")
+    # the Frobenius number of <x, y> is xy - x - y (Sylvester 1884)
+    m = compile_regex("(a^999)*(a^1000)*")
+    assert (m.threshold, m.period) == (999 * 1000 - 999 - 1000 + 1, 1)
+    assert not m.matches(m.threshold - 1) and m.matches(999 + 1000)
+    m = compile_regex("(a^700|a^701)*")
+    assert (m.threshold, m.period, m.state_count) == (700 * 701 - 700 - 701 + 1, 1, 489301)
+    # a union is periodic with the lcm of the parts' periods
+    assert compile_regex("(a^1000)*|(a^999)*").period == 999000
+    assert compile_regex("a^500000|a^500001").tail == frozenset((500000, 500001))
+    assert compile_regex("(a^300000)*").state_count == 300000
 
 
 def stored(ends) -> int:
@@ -512,7 +637,7 @@ def test_position_sets_stay_linear(src):
     ends = regex._positions(parse_regex(src))[0]
     assert len(ends) == 30000 + 1 and stored(ends) <= 6 * 30000  # a literal each, and the start
     m = compile_regex(src)
-    assert (m.threshold, m.period, m.tail, m.cycle, m.state_count) == (0, 1, frozenset(), (True,), 2)
+    assert (m.threshold, m.period, m.tail, m.cycle, m.state_count) == (0, 1, frozenset(), (True,), 1)
 
 
 @pytest.mark.parametrize("src", ["(a*)*", "((a*)*)*", "(((a*)*)*)*"])
