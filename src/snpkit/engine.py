@@ -4,8 +4,10 @@ Vectors are plain int tuples; matrices are IntMatrix.  A SimState is the
 complete carry state entering a step: configuration, per-rule remaining
 delay (dst), per-neuron open/closed status (st, derived from dst), and
 per-rule queued production (standard mode only).  Steps read the state's
-choice table (each open neuron's applicable rules); only the tree and the
-"random" policy list its whole product of spiking vectors.
+choice table (each open neuron's applicable rules).  run_trace looks the
+applicable rules up by spike count, in a lookup it keeps for that run
+only; every other caller walks the guards.  The "random" policy lists
+the product of its step's own table, and the tree lists every state's.
 
 Two delay semantics are provided, selected by `mode`:
 
@@ -29,8 +31,10 @@ and rule selection at step k uses the carry status entering k (a neuron
 closing at k in paper-trace mode may still have been selected at k).
 One function, `_advance`, holds both conventions: the formula step, the
 operational oracle and the identity checks all take their recorded DSt,
-St, Iv and carry state from it.  For delay-free systems the two modes
-coincide with the plain formula C(k+1) = C(k) + Sp(k) . M.
+St, Iv and carry state from it.  It walks only the delayed rules: an
+undelayed rule is never closed or queued, and fires as Iv = Sp.  For
+delay-free systems the two modes coincide with the plain formula
+C(k+1) = C(k) + Sp(k) . M.
 """
 
 from __future__ import annotations
@@ -112,16 +116,25 @@ def initial_state(sys: SNPSystem) -> SimState:
 
 
 def choice_table(
-    sys: SNPSystem, C: tuple[int, ...], St: tuple[int, ...]
+    sys: SNPSystem, C: tuple[int, ...], St: tuple[int, ...], _memo=None
 ) -> list[tuple[int, ...]]:
     """The choices at configuration C under status St: for each open neuron
     with at least one applicable rule, its applicable rules in index order.
     A valid spiking vector fires exactly one rule of every entry and no
-    other; the table is empty iff no neuron can fire."""
+    other; the table is empty iff no neuron can fire.
+
+    Applicability depends only on the neuron's spike count: run_trace
+    passes `_memo`, one {count: applicable rules} dict per neuron kept for
+    that run and filled on first use.  Without it the guards are walked."""
     table = []
     for j in range(sys.neuron_count):
         if St[j]:
-            rules = tuple(i for i in sys.rules_of[j] if sys.rules[i].applicable(C[j]))
+            n = C[j]
+            rules = _memo[j].get(n) if _memo else None
+            if rules is None:
+                rules = tuple(i for i in sys.rules_of[j] if sys.rules[i].applicable(n))
+                if _memo:
+                    _memo[j][n] = rules
             if rules:
                 table.append(rules)
     return table
@@ -224,24 +237,26 @@ def _advance(
     sys: SNPSystem, state: SimState, Sp: tuple[int, ...], mode: str
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], SimState]:
     """The delay bookkeeping of step k, both conventions, in one walk over
-    the rules.  Returns the DSt recorded at k, the status it implies (which
-    gates deliveries at k), the indicator Iv (immediate firings, plus due
-    releases in standard mode) and the carry state entering k + 1 with the
-    configuration unchanged.
+    the delayed rules.  Returns the DSt recorded at k, the status it
+    implies (which gates deliveries at k), the indicator Iv (immediate
+    firings, plus due releases in standard mode) and the carry state
+    entering k + 1 with the configuration unchanged.
 
     Newly fired delayed rules take on their full delay (standard mode
     queues their production for step k + d); everything else decrements
     toward 0, and a production falls due as its rule's delay runs out."""
     standard, k = mode == "standard", state.k
-    rec, carry, iv = list(state.dst), [], []
+    # an undelayed rule is never closed or queued: rec = left = 0, Iv = Sp
+    rec, carry, iv = list(state.dst), [0] * sys.rule_count, list(Sp)
     pending = list(state.pending)
     st_rec = [1] * sys.neuron_count
     st_next = [1] * sys.neuron_count
-    for i, r in enumerate(sys.rules):
+    for i in sys.delayed_rules:
+        r = sys.rules[i]
         due = standard and pending[i] is not None and pending[i][0] == k
         if due:
             pending[i] = None
-        if Sp[i] and r.d > 0:
+        if Sp[i]:
             left = r.d
             if standard:
                 pending[i] = (k + r.d, r.p)
@@ -250,8 +265,8 @@ def _advance(
                 left = r.d - 1  # ... and is already counted once
         else:
             left = rec[i] - 1 if rec[i] > 0 else 0
-        carry.append(left)
-        iv.append(1 if due or (Sp[i] and r.d == 0) else 0)
+        carry[i] = left
+        iv[i] = 1 if due else 0
         if rec[i] > 0:
             st_rec[r.owner] = 0
         if left > 0:
@@ -432,15 +447,16 @@ def run_trace(
     rng = random.Random(seed) if policy == "random" else None
 
     mats = _step_matrices(sys)
+    memo = [{} for _ in range(sys.neuron_count)]  # this run's applicability lookup
     state = initial_state(sys)
     records: list[StepRecord] = []
     while True:
-        table = choice_table(sys, state.config, state.st)
+        table = choice_table(sys, state.config, state.st, memo)
         halted = _is_halted(state, table)
         if halted or len(records) >= steps:
             break
         if policy == "random" and table:
-            sp = rng.choice(enumerate_spiking_vectors(sys, state.config, state.st))
+            sp = rng.choice(table_vectors(sys, table))
         else:  # every entry's head; an empty table idles while delays count down
             sp = spiking_vector(sys, (rules[0] for rules in table))
         record, state = _make_record(sys, state, sp, mode, mats)

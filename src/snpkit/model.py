@@ -127,8 +127,13 @@ class SNPSystem(Record):
         return tuple(r.d for r in self.rules)
 
     @cached_property
+    def delayed_rules(self) -> tuple[int, ...]:
+        """Indices of the rules with a delay, in rule order."""
+        return tuple(i for i, r in enumerate(self.rules) if r.d > 0)
+
+    @cached_property
     def has_delays(self) -> bool:
-        return any(r.d > 0 for r in self.rules)
+        return bool(self.delayed_rules)
 
     def name_index(self, name: str) -> int:
         return self.neuron_names.index(name)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import compress
-from math import gcd, inf, lcm
+from math import comb, gcd, inf, lcm
 from operator import attrgetter
 
 __all__ = [
@@ -394,6 +394,16 @@ def _apery(m: int, gens: list[int]) -> list[int]:
     return [n for n in least if n != inf]
 
 
+def _apery_floor(m: int, gens: list[int], j: int) -> int:
+    """A lower bound on max(_apery(m, gens)), found without the round robin.
+    Each Apery element is a sum of gens, and sums of at most j of them take
+    at most comb(j + g, g) values: if that is fewer than the residues the
+    gens reach, some element sums j + 1 of them.  0 when that does not hold."""
+    if comb(j + len(gens), len(gens)) < m // gcd(m, *gens):
+        return (j + 1) * min(gens)
+    return 0
+
+
 class _Composer:
     """The normal lasso of each node, bottom up: union over the lcm of the
     periods, concatenation as a sumset, star as a numerical monoid through
@@ -494,6 +504,9 @@ class _Composer:
                 break
         gens = [n for r, n in least.items() if r]
         self.spend(0, 0, len(gens) * m)
+        # before the round robin: each gen is above m, so a floor that holds
+        # at j = MAX_WALK // m is (j + 1) * min(gens) > MAX_WALK
+        self.spend(_apery_floor(m, gens, MAX_WALK // m) + 2, 0)
         apery = _apery(m, gens) if gens else [0]  # (a^k)* needs no table of k residues
         top = max(apery)
         self.spend(top + 2, 1)

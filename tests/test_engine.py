@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from functools import cached_property
 from unittest import mock
 
 import pytest
@@ -17,6 +18,7 @@ from snpkit.engine import (
     Trace,
     TraceTree,
     _advance,
+    _terminal_record,
     achievable_first_intervals,
     check_step_identities,
     choice_table,
@@ -39,7 +41,7 @@ from snpkit.matrices import (
     production_matrix,
     spiking_matrix,
 )
-from snpkit.model import parse_system
+from snpkit.model import Rule, SNPSystem, parse_system, validate
 
 
 def all_ones(n):
@@ -132,9 +134,10 @@ def test_is_valid_agrees_with_enumeration(seed):
         assert is_valid_spiking_vector(sys, C, St, bits) == (bits in members)
 
 
-def _first_trace_by_listing(sys, steps, mode):
-    """run_trace's `first` policy as it was: each step takes the head of the
-    full sorted listing, and halting reads that listing."""
+def _trace_by_listing(sys, steps, mode, rng=None):
+    """run_trace as it was: each step takes the head of the full sorted
+    listing (`first`), or rng.choice of it (seeded `random`), and steps
+    through formula_step; halting reads that listing."""
     state = initial_state(sys)
     records = []
     while True:
@@ -142,7 +145,10 @@ def _first_trace_by_listing(sys, steps, mode):
         halted = not listed and all(state.st)
         if halted or len(records) >= steps:
             return tuple(records), state, halted
-        sp = listed[0] if listed else (0,) * sys.rule_count
+        if not listed:
+            sp = (0,) * sys.rule_count
+        else:
+            sp = listed[0] if rng is None else rng.choice(listed)
         record, state = formula_step(sys, state, sp, mode)
         records.append(record)
 
@@ -157,10 +163,51 @@ def test_first_trace_matches_head_of_listing(seed, steps, mode):
     rng = random.Random(seed)
     sys = make_random_system(rng, max_neurons=4, max_rules=10, allow_delay=True)
     trace = run_trace(sys, steps, policy="first", mode=mode)
-    records, state, halted = _first_trace_by_listing(sys, steps, mode)
+    records, state, halted = _trace_by_listing(sys, steps, mode)
     assert trace.records[:-1] == records
     assert trace.records[-1].C == state.config
     assert (trace.final_state, trace.halted) == (state, halted)
+
+
+SYSTEM_CACHES = {
+    name for name, attr in vars(SNPSystem).items() if isinstance(attr, cached_property)
+}
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    steps=st.integers(min_value=0, max_value=16),
+    mode=st.sampled_from(MODES),
+    policy=st.sampled_from(("first", "random")),
+)
+@settings(max_examples=200, deadline=None)
+def test_memoized_trace_matches_listing_loop(seed, steps, mode, policy):
+    """The per-run applicability lookup and the delayed-only bookkeeping
+    against the listing loop, record for record, on systems whose rule
+    owners interleave, with delays.  The lookup lives for one run: the
+    system gains no attribute but its own cached properties."""
+    rng = random.Random(seed)
+    sys = make_random_system(
+        rng, max_neurons=4, max_rules=10, max_spikes=6, allow_delay=True
+    )
+    before = set(vars(sys))
+    trace = run_trace(sys, steps, policy=policy, mode=mode, seed=seed)
+    assert set(vars(sys)) - before <= SYSTEM_CACHES
+    walk = random.Random(seed) if policy == "random" else None
+    records, state, halted = _trace_by_listing(sys, steps, mode, walk)
+    assert trace.records[:-1] == records
+    assert trace.records[-1] == _terminal_record(sys, state)
+    assert (trace.final_state, trace.halted) == (state, halted)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_random_trace_reads_one_table_per_time_point(example3, mode):
+    expected = run_trace(example3, 12, policy="random", mode=mode, seed=7)
+    with mock.patch("snpkit.engine.choice_table", wraps=choice_table) as table:
+        trace = run_trace(example3, 12, policy="random", mode=mode, seed=7)
+    assert trace == expected
+    assert table.call_count == len(trace.records)
+    assert sum(any(r.Sp) for r in trace.records) > 1
 
 
 def test_first_trace_never_lists_the_product():
@@ -752,15 +799,43 @@ def _walk_against_reference(sys, mode, rng, steps):
         state = formula_step(sys, state, sp, mode)[1]
 
 
+def _delays_shaped(sys, rng, shape):
+    """sys with its delays redrawn: "drawn" keeps them, "none" has no
+    delayed rule, "all" delays every rule (forgetting rules, which take no
+    delay, are dropped) and "interleaved" delays every other spiking rule
+    in declaration order."""
+    if shape == "drawn":
+        return sys
+    rules, spiking = [], 0
+    for r in sys.rules:
+        if r.is_forgetting and shape == "all":
+            continue
+        d = 0
+        if not r.is_forgetting:
+            if shape == "all" or (shape == "interleaved" and spiking % 2 == 0):
+                d = rng.randint(1, 3)
+            spiking += 1
+        rules.append(Rule(r.owner, r.guard_src, r.c, r.p, d, r.guard))
+    return SNPSystem(sys.neuron_names, sys.initial, tuple(rules), sys.syn, sys.out_neuron)
+
+
 @given(
     seed=st.integers(min_value=0, max_value=10**9),
     steps=st.integers(min_value=0, max_value=12),
     mode=st.sampled_from(MODES),
+    shape=st.sampled_from(("drawn", "none", "all", "interleaved")),
 )
-@settings(max_examples=150, deadline=None)
-def test_one_pass_bookkeeping_matches_per_mode_reference(seed, steps, mode):
+@settings(max_examples=200, deadline=None)
+def test_one_pass_bookkeeping_matches_per_mode_reference(seed, steps, mode, shape):
     rng = random.Random(seed)
     sys = make_random_system(rng, max_rules=8, allow_delay=True)
+    sys = _delays_shaped(sys, rng, shape)
+    assert validate(sys).ok
+    delayed = [r.d > 0 for r in sys.rules]
+    if shape == "none":
+        assert not any(delayed)
+    elif shape == "all":
+        assert all(delayed)
     _walk_against_reference(sys, mode, rng, steps)
 
 

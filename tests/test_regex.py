@@ -1,5 +1,7 @@
 """Guard regex parsing, printing, and membership compilation."""
 
+import time
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -661,3 +663,35 @@ def test_malformed_asts_are_refused(node, message):
         compile_ast(node)
     with pytest.raises((ValueError, TypeError), match=message):
         nfa_matches(node, 1)
+
+
+@given(
+    m=st.integers(min_value=2, max_value=40),
+    above=st.lists(st.integers(min_value=1, max_value=160), min_size=1, max_size=4),
+    j=st.integers(min_value=0, max_value=12),
+)
+@example(m=4, above=[2], j=0)  # 4 and 6 reach only the even residues
+@settings(max_examples=300, deadline=None)
+def test_apery_floor_never_exceeds_the_largest_apery_element(m, above, j):
+    gens = [m + a for a in above]  # as star passes them, each above m
+    assert regex._apery_floor(m, gens, j) <= max(regex._apery(m, gens))
+
+
+def test_over_budget_star_refused_before_its_round_robin(monkeypatch):
+    src = "(a^300000|a^300001)*(a^299999)*"
+    assert regex._apery_floor(300000, [300001], MAX_WALK // 300000) == 4 * 300001
+    took = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(RegexSyntaxError, match="store more than 1000000 positions"):
+            compile_regex(src)
+        took.append(time.perf_counter() - start)
+    assert min(took) < 0.01, took
+
+    def no_round_robin(*args):
+        raise AssertionError("the round robin ran")
+
+    monkeypatch.setattr(regex, "_apery", no_round_robin)
+    with pytest.raises(RegexSyntaxError) as exc:
+        compile_regex(src)
+    assert str(exc.value) == f"compiling would store more than {MAX_WALK} positions (offset 0)"
