@@ -151,7 +151,7 @@ def spiking_vector(sys: SNPSystem, fired) -> tuple[int, ...]:
 def table_vectors(sys: SNPSystem, table: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The spiking vectors of a choice table (the product of its entries) by
     support tuple (ascending rule indices): as each fires one rule per entry,
-    that is their descending order.  None for an empty table; the head fires
+    that is their descending order, [] for an empty table; the head fires
     each entry's first rule, as a later one raises the sorted support."""
     product = itertools.product(*table) if table else ()
     return sorted((spiking_vector(sys, fired) for fired in product), reverse=True)
@@ -472,10 +472,11 @@ def run_trace(
 
 
 class TreeNode(Record, eq=False):
-    """A distinct state at its step, shared by every path reaching it."""
+    """A distinct state at its step, shared by every path reaching it.  Made
+    on first reach; its children are appended as its state is expanded."""
 
     state: SimState
-    children: tuple[tuple[StepRecord, "TreeNode"], ...]
+    children: list[tuple[StepRecord, "TreeNode"]]
 
 
 class TraceTree(Record, eq=False):
@@ -502,33 +503,28 @@ class TraceTree(Record, eq=False):
 
 def _run_tree(sys: SNPSystem, depth: int, mode: str) -> TraceTree:
     """Expand level by level, each distinct state once (SimState carries k,
-    so only equal states of one step merge), then build nodes bottom-up."""
+    so only equal states of one step merge).  A level maps its states to
+    their nodes in discovery order; a node is made on first reach."""
     mats = _step_matrices(sys)
     idle = [(0,) * sys.rule_count]
-    steps = []  # per step: state -> [(record, next state), ...], () for a leaf
-    frontier = dict.fromkeys([initial_state(sys)])
-    while frontier and len(steps) < depth:  # frontier empties once all paths halt
-        edges = dict.fromkeys(frontier, ())
-        for state in frontier:
+    root = TreeNode(initial_state(sys), [])
+    levels, level = [], {root.state: root}
+    while level:  # a level is empty once every path has halted
+        levels.append(tuple(level.values()))
+        if len(levels) > depth:
+            break
+        below = {}
+        for state, node in level.items():
             sps = enumerate_spiking_vectors(sys, state.config, state.st)
-            if not _is_halted(state, sps):
-                edges[state] = [
-                    _make_record(sys, state, sp, mode, mats) for sp in sps or idle
-                ]
-        steps.append(edges)
-        frontier = dict.fromkeys(c for out in edges.values() for _r, c in out)
-    if frontier:
-        steps.append(dict.fromkeys(frontier, ()))  # the states at `depth` are leaves
-    levels, below = [], {}
-    for edges in reversed(steps):
-        nodes = {
-            s: TreeNode(s, tuple((r, below[c]) for r, c in out))
-            for s, out in edges.items()
-        }
-        levels.append(tuple(nodes.values()))
-        below = nodes
-    levels.reverse()
-    return TraceTree(mode=mode, root=levels[0][0], depth=depth, levels=tuple(levels))
+            if _is_halted(state, sps):
+                continue
+            for sp in sps or idle:
+                record, nxt = _make_record(sys, state, sp, mode, mats)
+                if nxt not in below:
+                    below[nxt] = TreeNode(nxt, [])
+                node.children.append((record, below[nxt]))
+        level = below
+    return TraceTree(mode=mode, root=root, depth=depth, levels=tuple(levels))
 
 
 def achievable_first_intervals(tree: TraceTree) -> set[int]:

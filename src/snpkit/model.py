@@ -122,10 +122,6 @@ class SNPSystem(Record):
             per[a].append(b)
         return tuple(tuple(t) for t in per)
 
-    @property
-    def delay_vector(self) -> tuple[int, ...]:
-        return tuple(r.d for r in self.rules)
-
     @cached_property
     def delayed_rules(self) -> tuple[int, ...]:
         """Indices of the rules with a delay, in rule order."""
@@ -134,9 +130,6 @@ class SNPSystem(Record):
     @cached_property
     def has_delays(self) -> bool:
         return bool(self.delayed_rules)
-
-    def name_index(self, name: str) -> int:
-        return self.neuron_names.index(name)
 
 
 class SystemParseError(ValueError):

@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import SYSTEMS_DIR
 from gensys import make_random_system, ring_text
 from snpkit.cli import json_default, main
 from snpkit.engine import (
@@ -595,6 +596,41 @@ def test_layered_tree_matches_path_by_path_reference(seed, depth, mode):
     assert achievable_first_intervals(tree) == intervals
 
 
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    depth=st.integers(min_value=0, max_value=6),
+    mode=st.sampled_from(MODES),
+)
+@settings(max_examples=150, deadline=None)
+def test_tree_root_walk_and_levels_agree(seed, depth, mode):
+    # the CLI reads levels, a walk from the root reads children: one DAG
+    sys = make_random_system(
+        random.Random(seed), max_rules=8, allow_delay=True, with_out=True
+    )
+    tree = run_trace(sys, depth, policy="exhaustive", mode=mode)
+    reached, stack = {tree.root}, [tree.root]
+    while stack:
+        for _r, child in stack.pop().children:
+            if child not in reached:
+                reached.add(child)
+                stack.append(child)
+    assert reached == {node for level in tree.levels for node in level}
+    assert tree.levels[0] == (tree.root,) and len(tree.levels) <= depth + 1
+    idle = (0,) * sys.rule_count
+    for level, below in zip(tree.levels, tree.levels[1:] + ((),)):
+        # level k+1 is the distinct children of level k, in expansion order
+        expanded = [child for node in level for _r, child in node.children]
+        assert list(dict.fromkeys(expanded)) == list(below)
+        for node in level:
+            state = node.state
+            sps = enumerate_spiking_vectors(sys, state.config, state.st)
+            halted = not sps and all(state.st) and all(q is None for q in state.pending)
+            expected = [] if halted or state.k == depth else sps or [idle]
+            assert [r.Sp for r, _child in node.children] == expected
+            for r, child in node.children:
+                assert (r, child.state) == formula_step(sys, state, r.Sp, mode)
+
+
 def test_exhaustive_depth_not_bounded_by_recursion_limit(capsys, tmp_path):
     ring = tmp_path / "ring.snp"
     ring.write_text(
@@ -622,6 +658,18 @@ def test_exhaustive_stops_once_every_path_has_halted(
     code = main(["simulate", str(path), "--steps", "1000000", "--policy", "exhaustive"])
     assert code == 0
     assert capsys.readouterr().out.splitlines()[0] == "paths to depth 1000000: 1"
+
+
+def test_exhaustive_deep_delayed_path_in_paper_trace_mode(capsys, example3):
+    # example3 never halts in paper-trace mode: one node per level, one path
+    tree = run_trace(example3, 20_000, policy="exhaustive", mode="paper-trace")
+    assert len(tree.levels) == 20_001
+    assert all(len(level) == 1 for level in tree.levels)
+    assert tree.leaf_count() == 1
+    path = str(SYSTEMS_DIR / "example3.snp")
+    argv = ["simulate", path, "--mode", "paper-trace", "--policy", "exhaustive"]
+    assert main([*argv, "--steps", "20000"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "paths to depth 20000: 1"
 
 
 # --- property suites --------------------------------------------------------------------

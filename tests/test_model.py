@@ -43,7 +43,7 @@ def test_parse_delayed_golden_system(example3):
     s = example3
     assert s.neuron_count == 3 and s.rule_count == 4
     assert s.initial == (1, 0, 1)
-    assert s.delay_vector == (0, 0, 0, 2)
+    assert tuple(r.d for r in s.rules) == (0, 0, 0, 2)
     assert s.has_delays
     assert s.out_neuron is None
     assert s.syn == ((0, 1), (1, 0), (1, 2), (2, 1))
@@ -73,7 +73,6 @@ def test_rule_helpers(example1):
     s = example1
     assert s.rules_of == ((0, 1), (2,), (3, 4))
     assert s.targets_of == ((1, 2), (0, 2), ())
-    assert s.name_index("n2") == 1
     assert s.rules[0].applicable(2)
     assert not s.rules[0].applicable(1)  # guard a^2 rejects 1
     assert not s.rules[1].applicable(1)  # c=2 needs two spikes
