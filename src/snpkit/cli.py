@@ -333,31 +333,14 @@ def cmd_reach(args: argparse.Namespace) -> int:
 # --- argument plumbing -----------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="snpkit",
-        description="Simulate and analyze spiking neural P systems "
-        "via their matrix representation.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("path", help="system file")
-        p.add_argument(
-            "--format", choices=FORMATS, default="text", help="output format"
-        )
-        return p
-
-    add("validate", "check semantic constraints")
-    add("matrices", "print the matrix forms")
-    p = add("simulate", "run the system and print the trace")
+def _simulate_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int, default=10, help="step budget")
     p.add_argument("--policy", choices=POLICIES, default="first")
     p.add_argument("--mode", choices=MODES, default="standard")
     p.add_argument("--seed", type=int, help="rng seed (random policy)")
-    add("analyze", "structural report from the matrix forms")
-    p = add("reach", "decide whether a configuration is reachable")
+
+
+def _reach_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", required=True, help="comma-separated spike counts")
     p.add_argument("--kmax", type=int, default=4, help="step bound")
     p.add_argument(
@@ -368,24 +351,47 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--vmax", type=int, help="step bound when --from is given (default --kmax)"
     )
-    return parser
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "matrices": cmd_matrices,
-    "simulate": cmd_simulate,
-    "analyze": cmd_analyze,
-    "reach": cmd_reach,
+_COMMANDS = {  # name: (handler, help, options beyond path and --format)
+    "validate": (cmd_validate, "check semantic constraints", None),
+    "matrices": (cmd_matrices, "print the matrix forms", None),
+    "simulate": (cmd_simulate, "run the system and print the trace", _simulate_options),
+    "analyze": (cmd_analyze, "structural report from the matrix forms", None),
+    "reach": (cmd_reach, "decide whether a configuration is reachable", _reach_options),
 }
 
 
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser.  With `only`, the one subcommand argv names: the
+    tree holds that subcommand's parser alone, and its usage line still
+    lists them all (argv naming one, no other top-level message shows)."""
+    parser = argparse.ArgumentParser(
+        prog="snpkit",
+        description="Simulate and analyze spiking neural P systems "
+        "via their matrix representation.",
+    )
+    listing = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=listing)
+    for name, (_cmd, help_, options) in _COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_)
+            p.add_argument("path", help="system file")
+            p.add_argument(
+                "--format", choices=FORMATS, default="text", help="output format"
+            )
+            if options:
+                options(p)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = _sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         _check_flags(args)
-        code = _COMMANDS[args.subcommand](args)
+        code = _COMMANDS[args.subcommand][0](args)
         _sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:

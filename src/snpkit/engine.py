@@ -7,7 +7,9 @@ per-rule queued production (standard mode only).  Steps read the state's
 choice table (each open neuron's applicable rules).  run_trace looks the
 applicable rules up by spike count, in a lookup it keeps for that run
 only; every other caller walks the guards.  The "random" policy lists
-the product of its step's own table, and the tree lists every state's.
+the product of its step's own table.  The tree lists that of each state
+it expands, and expands a state once per run: met again at a later step,
+its first expansion is re-stamped with the new step (_run_tree).
 
 Two delay semantics are provided, selected by `mode`:
 
@@ -39,6 +41,7 @@ C(k+1) = C(k) + Sp(k) . M.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
@@ -441,7 +444,15 @@ def run_trace(
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
     if policy == "exhaustive":
-        return _run_tree(sys, steps, mode)
+        # the build keeps everything it allocates: a cyclic collection would
+        # rescan a heap that only grows, and free nothing
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return _run_tree(sys, steps, mode)
+        finally:
+            if enabled:
+                gc.enable()
     if policy == "random" and seed is None:
         raise ValueError("policy 'random' needs a seed")
     rng = random.Random(seed) if policy == "random" else None
@@ -501,28 +512,57 @@ class TraceTree(Record, eq=False):
         return paths[self.root]
 
 
+def _shifted(pending, delta: int) -> tuple:
+    """A queue with each release step moved by `delta`."""
+    return tuple(None if q is None else (q[0] + delta, q[1]) for q in pending)
+
+
+def _tree_key(state: SimState, shift: bool) -> tuple:
+    """A state without its step.  k enters a step only through the queued
+    release steps, counted from k when `shift` (the queue stays empty unless
+    standard mode has delays), and through paper-trace's deferral at k = 0:
+    states with equal keys expand alike at any step."""
+    pending = _shifted(state.pending, -state.k) if shift else state.pending
+    return state.config, state.dst, state.st, pending, state.k == 0
+
+
 def _run_tree(sys: SNPSystem, depth: int, mode: str) -> TraceTree:
-    """Expand level by level, each distinct state once (SimState carries k,
-    so only equal states of one step merge).  A level maps its states to
-    their nodes in discovery order; a node is made on first reach."""
+    """Expand level by level.  A level maps the keys (_tree_key) of its
+    distinct states to their nodes in discovery order; a node is made on
+    first reach.  Each key is expanded once per run, its (record, successor,
+    successor key) edges kept; a later node with that key at step k reuses
+    them, each record remade with k and each successor state made, on its
+    first reach in the level below, with k + 1 and its queue shifted."""
     mats = _step_matrices(sys)
     idle = [(0,) * sys.rule_count]
+    shift = mode == "standard" and sys.has_delays
+    edges = {}  # key -> its edges, as made at the step where it was first met
     root = TreeNode(initial_state(sys), [])
-    levels, level = [], {root.state: root}
+    levels, level = [], {_tree_key(root.state, shift): root}
     while level:  # a level is empty once every path has halted
         levels.append(tuple(level.values()))
         if len(levels) > depth:
             break
-        below = {}
-        for state, node in level.items():
-            sps = enumerate_spiking_vectors(sys, state.config, state.st)
-            if _is_halted(state, sps):
-                continue
-            for sp in sps or idle:
-                record, nxt = _make_record(sys, state, sp, mode, mats)
-                if nxt not in below:
-                    below[nxt] = TreeNode(nxt, [])
-                node.children.append((record, below[nxt]))
+        k, below = len(levels) - 1, {}
+        for key, node in level.items():
+            out = edges.get(key)
+            if out is None:
+                state = node.state
+                sps = enumerate_spiking_vectors(sys, state.config, state.st)
+                made = [] if _is_halted(state, sps) else [
+                    _make_record(sys, state, sp, mode, mats) for sp in sps or idle
+                ]
+                out = edges[key] = [(r, nxt, _tree_key(nxt, shift)) for r, nxt in made]
+            for r, nxt, nkey in out:
+                if r.k != k:
+                    r = StepRecord(k, r.C, r.Sp, r.Iv, r.St, r.DSt, r.NG, r.emitted)
+                child = below.get(nkey)
+                if child is None:
+                    if nxt.k != k + 1:
+                        queue = _shifted(nxt.pending, k + 1 - nxt.k) if shift else nxt.pending
+                        nxt = SimState(k + 1, nxt.config, nxt.dst, nxt.st, queue)
+                    child = below[nkey] = TreeNode(nxt, [])
+                node.children.append((r, child))
         level = below
     return TraceTree(mode=mode, root=root, depth=depth, levels=tuple(levels))
 

@@ -57,12 +57,7 @@ class Record:
 
     def __init_subclass__(cls, eq: bool = True, uncompared: tuple[str, ...] = ()):
         cls._fields = names = tuple(cls.__dict__.get("__annotations__", ()))
-        # straight-line code: a loop over the fields would run per instance
-        body = "".join(f"\n object.__setattr__(self, {n!r}, {n})" for n in names)
-        body += "\n self.__post_init__()" if "__post_init__" in cls.__dict__ else ""
-        params = ", ".join(f"{n}=_d[{n!r}]" if n in cls.__dict__ else n for n in names)
-        exec(f"def __init__(self, {params}):{body}", ns := {"_d": cls.__dict__})
-        cls.__init__ = ns["__init__"]
+        cls.__init__ = _compile_init  # compiled on first use: a query uses about half
         cls._shown = shown = tuple(n for n in names if n not in uncompared)
         key = attrgetter(*shown) if len(shown) > 1 else lambda s, g=attrgetter(*shown): (g(s),)
         if eq:
@@ -77,6 +72,19 @@ class Record:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     __delattr__ = __setattr__
+
+
+def _compile_init(self, *args, **kwargs):
+    """Each record class's __init__ until its first instance: compiles the
+    class's own, installs it and delegates.  Straight-line code: a loop
+    over the fields would run per instance."""
+    cls = type(self)
+    body = "".join(f"\n object.__setattr__(self, {n!r}, {n})" for n in cls._fields)
+    body += "\n self.__post_init__()" if "__post_init__" in cls.__dict__ else ""
+    params = ", ".join(f"{n}=_d[{n!r}]" if n in cls.__dict__ else n for n in cls._fields)
+    exec(f"def __init__(self, {params}):{body}", ns := {"_d": cls.__dict__})
+    cls.__init__ = ns["__init__"]
+    cls.__init__(self, *args, **kwargs)
 
 
 class Literal(Record):

@@ -863,3 +863,53 @@ def test_cli_import_loads_no_rational_arithmetic():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _run_captured(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own exits: help and usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", ["validate", "matrices", "simulate", "analyze", "reach"])
+def test_one_subcommand_parser_prints_as_the_full_tree(capsys, monkeypatch, name):
+    # argv naming a subcommand builds that one parser; every exit code and
+    # byte must be the full tree's
+    from snpkit import cli
+
+    extra = ["--target", "1,1,1"] if name == "reach" else []
+    cases = [
+        [name, "--help"],
+        [name, EXAMPLE1, *extra],  # valid
+        [name, EXAMPLE1, "--format", "yaml", *extra],  # bad choices value
+        [name, *extra] if name != "reach" else [name, EXAMPLE1],  # a required one missing
+        [name, EXAMPLE1, "--bogus", *extra],  # unknown flag
+    ]
+    if name == "simulate":
+        cases.append([name, EXAMPLE1, "--policy", "widest"])
+    built = []
+    full = cli._build_parser
+
+    def spy(only=None):
+        built.append(only)
+        return full(only)
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    one = [_run_captured(capsys, argv) for argv in cases]
+    assert built == [name] * len(cases)
+    monkeypatch.setattr(cli, "_build_parser", lambda only=None: full())
+    assert one == [_run_captured(capsys, argv) for argv in cases]
+    assert [code for code, _out, _err in one][:5] == [0, 0, 2, 2, 2]
+
+
+def test_argv_naming_no_subcommand_builds_the_full_tree(capsys):
+    code, out, err = _run_captured(capsys, ["--help"])
+    assert code == 0 and "{validate,matrices,simulate,analyze,reach}" in out
+    assert all(f"    {name} " in out for name in ("validate", "simulate", "reach"))
+    code, _out, err = _run_captured(capsys, [])
+    assert code == 2 and "required: subcommand" in err
+    code, _out, err = _run_captured(capsys, ["simulat", EXAMPLE1])
+    assert code == 2 and "invalid choice: 'simulat'" in err

@@ -1,5 +1,6 @@
 """Stepping semantics: spiking vectors, formulas, delay modes, traces."""
 
+import gc
 import itertools
 import json
 import random
@@ -12,12 +13,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import SYSTEMS_DIR
 from gensys import make_random_system, ring_text
+from snpkit import engine
 from snpkit.cli import json_default, main
 from snpkit.engine import (
     MODES,
     SimState,
     Trace,
     TraceTree,
+    TreeNode,
     _advance,
     _terminal_record,
     achievable_first_intervals,
@@ -670,6 +673,162 @@ def test_exhaustive_deep_delayed_path_in_paper_trace_mode(capsys, example3):
     argv = ["simulate", path, "--mode", "paper-trace", "--policy", "exhaustive"]
     assert main([*argv, "--steps", "20000"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "paths to depth 20000: 1"
+
+
+def _tree_by_step(sys, depth, mode):
+    """The levels of the exhaustive build before states were expanded once per
+    run: only equal states of one step merge, and every node is expanded."""
+    idle = [(0,) * sys.rule_count]
+    root = TreeNode(initial_state(sys), [])
+    levels, level = [], {root.state: root}
+    while level:
+        levels.append(tuple(level.values()))
+        if len(levels) > depth:
+            break
+        below = {}
+        for state, node in level.items():
+            sps = enumerate_spiking_vectors(sys, state.config, state.st)
+            if not sps and all(state.st):  # halted
+                continue
+            for sp in sps or idle:
+                record, nxt = formula_step(sys, state, sp, mode)
+                if nxt not in below:
+                    below[nxt] = TreeNode(nxt, [])
+                node.children.append((record, below[nxt]))
+        level = below
+    return levels
+
+
+def _k_free(state):
+    """A state's step made relative: queued releases counted from k, and
+    whether k is 0 (paper-trace defers a closure fired there)."""
+    pending = tuple(None if q is None else (q[0] - state.k, q[1]) for q in state.pending)
+    return state.config, state.dst, state.st, pending, state.k == 0
+
+
+def _counted_tree(sys, depth, mode):
+    """The exhaustive tree, and the enumerate_spiking_vectors calls it made."""
+    calls = []
+    listing = engine.enumerate_spiking_vectors
+
+    def counted(*args):
+        calls.append(args)
+        return listing(*args)
+
+    with mock.patch.object(engine, "enumerate_spiking_vectors", counted):
+        tree = run_trace(sys, depth, policy="exhaustive", mode=mode)
+    return tree, len(calls)
+
+
+def _assert_same_levels(tree, ref):
+    """Equal states in the same order on every level, and each node's
+    children the same records (compared field by field, k included) leading
+    to the same positions of the level below."""
+    assert [[n.state for n in level] for level in tree.levels] == [
+        [n.state for n in level] for level in ref
+    ]
+    at = {node: i for level in tree.levels for i, node in enumerate(level)}
+    ref_at = {node: i for level in ref for i, node in enumerate(level)}
+    for level, ref_level in zip(tree.levels, ref):
+        for node, ref_node in zip(level, ref_level):
+            assert [(r, at[c]) for r, c in node.children] == [
+                (r, ref_at[c]) for r, c in ref_node.children
+            ]
+
+
+def _expanded_keys(tree):
+    return {_k_free(node.state) for level in tree.levels[: tree.depth] for node in level}
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    depth=st.integers(min_value=0, max_value=12),
+    mode=st.sampled_from(MODES),
+)
+@settings(max_examples=300, deadline=None)
+def test_memoized_tree_matches_per_step_expansion(seed, depth, mode):
+    sys = make_random_system(
+        random.Random(seed), max_rules=8, allow_delay=True, with_out=True
+    )
+    tree, calls = _counted_tree(sys, depth, mode)
+    _assert_same_levels(tree, _tree_by_step(sys, depth, mode))
+    assert calls == len(_expanded_keys(tree))
+
+
+def _side_by_side(text, copies):
+    """`copies` disjoint copies of a system file; only the first keeps its
+    out neuron (perfbench's disjoint_union)."""
+    named = {"neuron": 1, "rule": 1, "syn": 2, "out": 1}  # leading neuron names
+    lines = []
+    for c in range(copies):
+        for line in text.splitlines():
+            words = line.split()
+            if not words or words[0] == "#" or (words[0] == "out" and c):
+                continue
+            n = named[words[0]]
+            words[1 : 1 + n] = [f"{w}_{c}" for w in words[1 : 1 + n]]
+            lines.append(" ".join(words))
+    return "\n".join(lines) + "\n"
+
+
+# a ring passing one spike on, its first rule delayed: in standard mode the
+# state entering k = 1 recurs every 5 steps with its production queued
+DELAYED_RING = (
+    "neuron r0 spikes=1\nneuron r1 spikes=0\nneuron r2 spikes=0\n"
+    "rule r0 E=a c=1 p=1 d=2\nrule r1 E=a c=1 p=1 d=0\nrule r2 E=a c=1 p=1 d=0\n"
+    "syn r0 r1\nsyn r1 r2\nsyn r2 r0\nout r2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, mode, depth, recurs",
+    [
+        ("example3", "standard", 10, False),  # one path, halted at k = 4
+        ("example3", "paper-trace", 40, True),  # recurs with a closure fired at k = 0
+        ("ex1x2", "standard", 8, True),
+        ("ex1x2", "standard", 16, True),
+        (DELAYED_RING, "standard", 30, True),
+    ],
+    ids=["example3", "example3-paper", "ex1x2-d8", "ex1x2-d16", "delayed-ring"],
+)
+def test_each_key_listed_once(text, mode, depth, recurs):
+    if text == "ex1x2":
+        text = _side_by_side((SYSTEMS_DIR / "example1.snp").read_text(), 2)
+    elif text == "example3":
+        text = (SYSTEMS_DIR / "example3.snp").read_text()
+    sys = parse_system(text)
+    tree, calls = _counted_tree(sys, depth, mode)
+    _assert_same_levels(tree, _tree_by_step(sys, depth, mode))
+    assert calls == len(_expanded_keys(tree))
+    assert (calls < sum(len(level) for level in tree.levels[:depth])) is recurs
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_exhaustive_build_pauses_cyclic_gc(example1, enabled):
+    seen = []
+    build = engine._run_tree
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return build(*args)
+
+    def fail(*args):
+        raise RuntimeError("build failed")
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with mock.patch.object(engine, "_run_tree", spy):
+            run_trace(example1, 3, policy="exhaustive")
+        after_build = gc.isenabled()
+        with mock.patch.object(engine, "_run_tree", fail):
+            with pytest.raises(RuntimeError, match="build failed"):
+                run_trace(example1, 3, policy="exhaustive")
+        after_failure = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
+    assert after_build is after_failure is enabled
 
 
 # --- property suites --------------------------------------------------------------------

@@ -8,9 +8,13 @@ on a missing or extra argument.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
+from conftest import REPO_ROOT
 from snpkit import engine, matrices, model, reachability, regex
 from snpkit.cli import json_default
 from snpkit.regex import Record
@@ -130,3 +134,66 @@ def test_rule_guard_stays_out_of_eq_hash_and_repr():
     other = model.Rule(0, "a^2", 2, 1, 0, guard=regex.compile_regex("a^3"))
     assert one == other and hash(one) == hash(other)
     assert repr(one) == "Rule(owner=0, guard_src='a^2', c=2, p=1, d=0)"
+
+
+def _probe_class():
+    class Probe(Record):
+        a: int
+        b: tuple = ()
+
+        def __post_init__(self):
+            if self.a < 0:
+                raise ValueError("negative a")
+
+    return Probe
+
+
+PROBE_CALLS = [
+    ((), {}),  # missing argument
+    ((1,), {}),  # default
+    ((1, (2,)), {}),
+    ((), {"b": (2,), "a": 1}),
+    ((-1,), {}),  # __post_init__ raises
+    ((1, (), 3), {}),  # one too many
+    ((1,), {"a": 1}),  # given twice
+    ((1,), {"c": 1}),  # unknown keyword
+]
+
+
+def _outcome(cls, args, kwargs):
+    try:
+        return repr(cls(*args, **kwargs))
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("args, kwargs", PROBE_CALLS)
+def test_constructor_compiled_on_first_instance_behaves_the_same(args, kwargs):
+    warm = _probe_class()
+    warm(0)
+    cold = _probe_class()
+    assert cold.__init__ is regex._compile_init is not warm.__init__
+    assert _outcome(cold, args, kwargs) == _outcome(warm, args, kwargs)
+    assert cold.__init__ is not regex._compile_init  # compiled, even on a refusal
+    assert _outcome(cold, args, kwargs) == _outcome(warm, args, kwargs)
+
+
+def test_cli_import_compiles_no_record_constructor():
+    code = (
+        "import snpkit.cli, snpkit.regex as r\n"
+        "seen, stack = [], [r.Record]\n"
+        "while stack:\n"
+        "    subs = stack.pop().__subclasses__()\n"
+        "    seen += subs\n"
+        "    stack += subs\n"
+        "print(len(seen), [c.__name__ for c in seen if c.__init__ is not r._compile_init])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=str(REPO_ROOT),
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{len(RECORDS)} []\n"
