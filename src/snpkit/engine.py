@@ -1,9 +1,10 @@
 """Execution engine: choice tables, spiking vectors, step formulas, traces.
 
 Vectors are plain int tuples; matrices are IntMatrix.  A SimState is the
-complete carry state entering a step: configuration, per-rule remaining
-delay (dst), per-neuron open/closed status (st, derived from dst), and
-per-rule queued production (standard mode only).  Steps read the state's
+carry state entering step k: configuration, per-rule remaining delay
+(dst), and two fields derived from dst: per-neuron open/closed status
+(st) and per-rule queued production (pending, standard mode only).  dst
+is the one delay clock the engine reads.  Steps read the state's
 choice table (each open neuron's applicable rules).  run_trace looks the
 applicable rules up by spike count, in a lookup it keeps for that run
 only; every other caller walks the guards.  The "random" policy lists
@@ -96,7 +97,9 @@ class SimState(Record):
     config: tuple[int, ...]
     dst: tuple[int, ...]  # remaining closed steps per rule
     st: tuple[int, ...]  # open (1) / closed (0) per neuron
-    pending: tuple[tuple[int, int] | None, ...]  # (release step, amount) per rule
+    # (release step k + dst - 1, amount) per rule while its dst runs in
+    # standard mode, else None: derived from dst, never read by the engine
+    pending: tuple[tuple[int, int] | None, ...]
 
 
 def rule_status(sys: SNPSystem, st: tuple[int, ...]) -> tuple[int, ...]:
@@ -245,35 +248,33 @@ def _advance(
     firings, plus due releases in standard mode) and the carry state
     entering k + 1 with the configuration unchanged.
 
-    Newly fired delayed rules take on their full delay (standard mode
-    queues their production for step k + d); everything else decrements
-    toward 0, and a production falls due as its rule's delay runs out."""
+    Newly fired delayed rules take on their full delay; everything else
+    decrements toward 0.  dst is the only clock read: in standard mode a
+    production falls due at k exactly when its rule's dst is 1, and the
+    successor's queue is derived from the carried delay."""
     standard, k = mode == "standard", state.k
     # an undelayed rule is never closed or queued: rec = left = 0, Iv = Sp
     rec, carry, iv = list(state.dst), [0] * sys.rule_count, list(Sp)
-    pending = list(state.pending)
+    pending = [None] * sys.rule_count
     st_rec = [1] * sys.neuron_count
     st_next = [1] * sys.neuron_count
     for i in sys.delayed_rules:
         r = sys.rules[i]
-        due = standard and pending[i] is not None and pending[i][0] == k
-        if due:
-            pending[i] = None
         if Sp[i]:
             left = r.d
-            if standard:
-                pending[i] = (k + r.d, r.p)
-            elif k > 0:
+            if not standard and k > 0:
                 rec[i] = r.d  # closure shows up at the firing step itself
                 left = r.d - 1  # ... and is already counted once
         else:
             left = rec[i] - 1 if rec[i] > 0 else 0
         carry[i] = left
-        iv[i] = 1 if due else 0
+        iv[i] = 1 if standard and state.dst[i] == 1 else 0
         if rec[i] > 0:
             st_rec[r.owner] = 0
         if left > 0:
             st_next[r.owner] = 0
+            if standard:  # released at the step where dst reaches 1
+                pending[i] = (k + left, r.p)
     nxt = SimState(k + 1, state.config, tuple(carry), tuple(st_next), tuple(pending))
     return tuple(rec), tuple(st_rec), tuple(iv), nxt
 
@@ -282,7 +283,7 @@ def update_delay_state(
     sys: SNPSystem, state: SimState, Sp: tuple[int, ...], mode: str = "standard"
 ) -> SimState:
     """Advance the delay bookkeeping one step (configuration untouched);
-    the returned state's st is derived from the new dst."""
+    the returned state's st and pending are derived from the new dst."""
     _check_mode(mode)
     return _advance(sys, state, Sp, mode)[3]
 
@@ -421,8 +422,8 @@ def _terminal_record(sys: SNPSystem, state: SimState) -> StepRecord:
 
 def _is_halted(state: SimState, choices: list[tuple[int, ...]]) -> bool:
     """Halted: no choice (an empty choice table, or no vector listed from it)
-    and no closed neuron, which also means nothing is queued: a production
-    stays queued exactly while its rule's delay runs, keeping its neuron closed."""
+    and no closed neuron, which also means nothing is queued: the queue is
+    derived from dst, and a running delay keeps its neuron closed."""
     return not choices and all(state.st)
 
 
@@ -517,28 +518,21 @@ def _shifted(pending, delta: int) -> tuple:
     return tuple(None if q is None else (q[0] + delta, q[1]) for q in pending)
 
 
-def _tree_key(state: SimState, shift: bool) -> tuple:
-    """A state without its step.  k enters a step only through the queued
-    release steps, counted from k when `shift` (the queue stays empty unless
-    standard mode has delays), and through paper-trace's deferral at k = 0:
-    states with equal keys expand alike at any step."""
-    pending = _shifted(state.pending, -state.k) if shift else state.pending
-    return state.config, state.dst, state.st, pending, state.k == 0
-
-
 def _run_tree(sys: SNPSystem, depth: int, mode: str) -> TraceTree:
-    """Expand level by level.  A level maps the keys (_tree_key) of its
-    distinct states to their nodes in discovery order; a node is made on
-    first reach.  Each key is expanded once per run, its (record, successor,
-    successor key) edges kept; a later node with that key at step k reuses
-    them, each record remade with k and each successor state made, on its
-    first reach in the level below, with k + 1 and its queue shifted."""
+    """Expand level by level.  A level maps the keys (config, dst, k == 0)
+    of its distinct states to their nodes in discovery order; a node is made
+    on first reach.  st follows from dst, and the queue from k and dst, so
+    states with equal keys expand alike at any step, but for paper-trace's
+    deferral at k = 0.  Each key is expanded once per run, its (record,
+    successor, successor key) edges kept; a later node with that key at step
+    k reuses them, each record remade with k and each successor state made,
+    on its first reach in the level below, with k + 1 and its queue shifted."""
     mats = _step_matrices(sys)
     idle = [(0,) * sys.rule_count]
-    shift = mode == "standard" and sys.has_delays
+    shift = mode == "standard" and sys.has_delays  # else the queue stays empty
     edges = {}  # key -> its edges, as made at the step where it was first met
     root = TreeNode(initial_state(sys), [])
-    levels, level = [], {_tree_key(root.state, shift): root}
+    levels, level = [], {(root.state.config, root.state.dst, True): root}
     while level:  # a level is empty once every path has halted
         levels.append(tuple(level.values()))
         if len(levels) > depth:
@@ -552,7 +546,7 @@ def _run_tree(sys: SNPSystem, depth: int, mode: str) -> TraceTree:
                 made = [] if _is_halted(state, sps) else [
                     _make_record(sys, state, sp, mode, mats) for sp in sps or idle
                 ]
-                out = edges[key] = [(r, nxt, _tree_key(nxt, shift)) for r, nxt in made]
+                out = edges[key] = [(r, nxt, (nxt.config, nxt.dst, False)) for r, nxt in made]
             for r, nxt, nkey in out:
                 if r.k != k:
                     r = StepRecord(k, r.C, r.Sp, r.Iv, r.St, r.DSt, r.NG, r.emitted)

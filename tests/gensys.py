@@ -24,6 +24,7 @@ def make_random_system(
     max_rules: int = 8,
     max_spikes: int = 5,
     allow_delay: bool = False,
+    max_delay: int = 2,
     with_out: bool | None = None,
     min_neurons: int = 1,
 ) -> SNPSystem:
@@ -56,7 +57,7 @@ def make_random_system(
             else:
                 c = rng.randint(1, 4)
                 p = rng.randint(1, c)
-                d = rng.randint(0, 2) if allow_delay else 0
+                d = rng.randint(0, max_delay) if allow_delay else 0
                 guard_src = rng.choice(_GUARDS)(c)
                 candidate = make_rule(owner, guard_src, c, p, d)
                 # must not cover any sibling forgetting amount

@@ -984,13 +984,17 @@ def _ref_update_delay_state(sys, state, Sp, mode):
 
 def _walk_against_reference(sys, mode, rng, steps):
     """Random walk of valid vectors (idle when there is none), checking the
-    one-pass bookkeeping against the reference at every step, and the
-    invariant that lets halting ignore `pending`."""
+    one-pass bookkeeping against the reference at every step, and that the
+    queue is the one derived from dst: a production is queued exactly while
+    its rule's delay runs (which lets halting ignore `pending`), for release
+    at k + dst - 1."""
     state = initial_state(sys)
     for _ in range(steps):
         if mode == "standard":
-            queued = tuple(q is not None for q in state.pending)
-            assert queued == tuple(d > 0 for d in state.dst)
+            assert state.pending == tuple(
+                (state.k + d - 1, r.p) if d > 0 else None
+                for d, r in zip(state.dst, sys.rules)
+            )
         else:
             assert all(q is None for q in state.pending)
         cands = enumerate_spiking_vectors(sys, state.config, state.st)
@@ -1035,7 +1039,7 @@ def _delays_shaped(sys, rng, shape):
 @settings(max_examples=200, deadline=None)
 def test_one_pass_bookkeeping_matches_per_mode_reference(seed, steps, mode, shape):
     rng = random.Random(seed)
-    sys = make_random_system(rng, max_rules=8, allow_delay=True)
+    sys = make_random_system(rng, max_rules=8, allow_delay=True, max_delay=5)
     sys = _delays_shaped(sys, rng, shape)
     assert validate(sys).ok
     delayed = [r.d > 0 for r in sys.rules]
@@ -1052,6 +1056,25 @@ def test_one_pass_bookkeeping_delayed_firing_at_k0(example3, mode):
     # standard mode its production falls due at k = 2
     for seed in range(5):
         _walk_against_reference(example3, mode, random.Random(seed), 12)
+
+
+@given(seed=st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=300, deadline=None)
+def test_bookkeeping_is_blind_to_the_queue(seed):
+    """The engine reads dst alone: along a random walk of valid vectors, a
+    state and the same state with its queue blanked step alike."""
+    rng = random.Random(seed)
+    sys = make_random_system(rng, max_rules=8, allow_delay=True, max_delay=5)
+    blank = (None,) * sys.rule_count
+    for mode in MODES:
+        state = initial_state(sys)
+        for _ in range(12):
+            blanked = SimState(state.k, state.config, state.dst, state.st, blank)
+            cands = enumerate_spiking_vectors(sys, state.config, state.st)
+            sp = rng.choice(cands) if cands else (0,) * sys.rule_count
+            for step in (_advance, operational_step, formula_step):
+                assert step(sys, blanked, sp, mode) == step(sys, state, sp, mode)
+            state = formula_step(sys, state, sp, mode)[1]
 
 
 @given(seed=st.integers(min_value=0, max_value=10**9))
