@@ -35,9 +35,9 @@ closing at k in paper-trace mode may still have been selected at k).
 One function, `_advance`, holds both conventions: the formula step, the
 operational oracle and the identity checks all take their recorded DSt,
 St, Iv and carry state from it.  It walks only the delayed rules: an
-undelayed rule is never closed or queued, and fires as Iv = Sp.  For
-delay-free systems the two modes coincide with the plain formula
-C(k+1) = C(k) + Sp(k) . M.
+undelayed rule is never closed or queued, and fires as Iv = Sp.  Every
+trace and tree step is recorded by C + St (*) (Iv . PM) - Sp . CM: without
+delays the two modes coincide and it is the plain C(k+1) = C(k) + Sp(k) . M.
 """
 
 from __future__ import annotations
@@ -210,10 +210,9 @@ def step_with_delay_v1(
     CM: IntMatrix,
 ) -> tuple[int, ...]:
     """C + St (*) (Iv . PM) - Sp . CM, (*) elementwise; gains gated by
-    the receiving neuron's open status at this step."""
-    gv = PM.vecmat(Iv)
-    lv = CM.vecmat(Sp)
-    nxt = vec_sub(vec_add(C, hadamard(St, gv)), lv)
+    the receiving neuron's open status at this step; one pass over the neurons."""
+    gains, losses = PM.vecmat(Iv), CM.vecmat(Sp)
+    nxt = tuple(c + s * g - x for c, s, g, x in zip(C, St, gains, losses, strict=True))
     if any(x < 0 for x in nxt):
         raise ValueError(
             f"negative spike count {nxt}: step context C={C} Sp={Sp} Iv={Iv} St={St}"
@@ -228,7 +227,8 @@ def step_with_delay_v2(
     M: IntMatrix,
 ) -> tuple[int, ...]:
     """St(k+1) (*) (C + Iv . M); the next-step status masks everything."""
-    return hadamard(St_next, vec_add(C, M.vecmat(Iv)))
+    gains = M.vecmat(Iv)
+    return tuple(s * (c + g) for s, c, g in zip(St_next, C, gains, strict=True))
 
 
 # --- delay bookkeeping -------------------------------------------------------
@@ -362,27 +362,25 @@ class Trace(Record):
 
 
 def _step_matrices(sys: SNPSystem):
-    """M, PM, CM and the (rule, amount) pairs of the nonzero environment
+    """PM, CM and the (rule, amount) pairs of the nonzero environment
     emissions (the augmented matrix's last column; none without an out
-    neuron)."""
+    neuron): what _make_record reads."""
     if sys.out_neuron is None:
         env = ()
     else:
         column = augmented_matrix(sys).column(sys.neuron_count)
         env = tuple((i, e) for i, e in enumerate(column) if e)
-    return spiking_matrix(sys), production_matrix(sys), consumption_matrix(sys), env
+    return production_matrix(sys), consumption_matrix(sys), env
 
 
 def _make_record(
     sys: SNPSystem, state: SimState, Sp: tuple[int, ...], mode: str, matrices
 ) -> tuple[StepRecord, SimState]:
-    """Execute one step with the formula-based semantics and record it."""
-    M, PM, CM, env = matrices
+    """Execute one step by the receiver-gated formula and record it; without
+    delays Iv = Sp and every neuron is open, so the formula is C + Sp . M."""
+    PM, CM, env = matrices
     rec_dst, st_rec, iv, nxt = _advance(sys, state, Sp, mode)
-    if sys.has_delays:
-        c_next = step_with_delay_v1(state.config, Sp, iv, st_rec, PM, CM)
-    else:
-        c_next = step_no_delay(state.config, Sp, M)
+    c_next = step_with_delay_v1(state.config, Sp, iv, st_rec, PM, CM)
     record = StepRecord(
         k=state.k,
         C=state.config,
@@ -628,7 +626,7 @@ def check_step_identities(
     the next step itself fires a delayed rule and closures are recorded
     at firing time); formula_comparison_report covers that reading
     along a recorded trace."""
-    M, PM, CM, _env = _step_matrices(sys)
+    M, PM, CM = spiking_matrix(sys), production_matrix(sys), consumption_matrix(sys)
     entries = []
     for sp in enumerate_spiking_vectors(sys, state.config, state.st):
         _dst, st_rec, iv, nxt = _advance(sys, state, sp, mode)

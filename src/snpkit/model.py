@@ -108,10 +108,11 @@ class SNPSystem(Record):
 
     @cached_property
     def rules_of(self) -> tuple[tuple[int, ...], ...]:
-        """Rule indices per neuron, in global rule order."""
+        """Rule indices per neuron, in rule order; bad owners are filed nowhere."""
         per: list[list[int]] = [[] for _ in self.neuron_names]
         for i, r in enumerate(self.rules):
-            per[r.owner].append(i)
+            if 0 <= r.owner < len(per):
+                per[r.owner].append(i)
         return tuple(tuple(ix) for ix in per)
 
     @cached_property

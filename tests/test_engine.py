@@ -42,8 +42,11 @@ from snpkit.engine import (
 )
 from snpkit.matrices import (
     consumption_matrix,
+    hadamard,
     production_matrix,
     spiking_matrix,
+    vec_add,
+    vec_sub,
 )
 from snpkit.model import Rule, SNPSystem, parse_system, validate
 
@@ -1085,3 +1088,93 @@ def test_modes_coincide_without_delays(seed):
     b = run_trace(sys, 6, policy="random", seed=seed, mode="paper-trace")
     assert a.configs == b.configs
     assert [r.Sp for r in a.records] == [r.Sp for r in b.records]
+
+
+# The compositions the one-pass step formulas replaced, kept as the
+# references they are checked against.
+
+
+def _ref_step_with_delay_v1(C, Sp, Iv, St, PM, CM):
+    nxt = vec_sub(vec_add(C, hadamard(St, PM.vecmat(Iv))), CM.vecmat(Sp))
+    if any(x < 0 for x in nxt):
+        raise ValueError(
+            f"negative spike count {nxt}: step context C={C} Sp={Sp} Iv={Iv} St={St}"
+        )
+    return nxt
+
+
+def _ref_step_with_delay_v2(C, Iv, St_next, M):
+    return hadamard(St_next, vec_add(C, M.vecmat(Iv)))
+
+
+def _outcome(formula, *args):
+    """The result, or for a ValueError whether it names the step context."""
+    try:
+        return formula(*args)
+    except ValueError as exc:
+        return ValueError, "step context" in str(exc)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    # which argument, if any, gets one entry too many or too few
+    bad=st.sampled_from((None, "C", "Sp", "Iv", "St")),
+    extra=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_one_pass_formulas_match_the_composed_reference(seed, bad, extra):
+    rng = random.Random(seed)
+    sys = make_random_system(rng, max_rules=8, allow_delay=True, max_delay=3)
+    M, PM, CM = spiking_matrix(sys), production_matrix(sys), consumption_matrix(sys)
+    n, m = sys.rule_count, sys.neuron_count
+    vecs = {
+        "C": tuple(rng.randint(0, 3) for _ in range(m)),
+        "Sp": tuple(rng.randint(0, 1) for _ in range(n)),  # not always valid
+        "Iv": tuple(rng.randint(0, 1) for _ in range(n)),
+        "St": tuple(rng.randint(0, 1) for _ in range(m)),  # closed receivers
+    }
+    if bad is not None:
+        v = vecs[bad]
+        vecs[bad] = v + (1,) if extra or not v else v[:-1]
+    C, Sp, Iv, St = vecs["C"], vecs["Sp"], vecs["Iv"], vecs["St"]
+    got = _outcome(step_with_delay_v1, C, Sp, Iv, St, PM, CM)
+    assert got == _outcome(_ref_step_with_delay_v1, C, Sp, Iv, St, PM, CM)
+    if bad is not None:
+        assert got == (ValueError, False)
+    got = _outcome(step_with_delay_v2, C, Iv, St, M)
+    assert got == _outcome(_ref_step_with_delay_v2, C, Iv, St, M)
+    if bad in ("C", "Iv", "St"):
+        assert got == (ValueError, False)
+
+
+def _assert_plain_step(sys, M, state, record, nxt, mode):
+    """A recorded delay-free step is C + Sp . M, and formula_step remakes it."""
+    assert nxt.config == step_no_delay(record.C, record.Sp, M)
+    assert record.NG == M.vecmat(record.Sp)
+    assert formula_step(sys, state, record.Sp, mode) == (record, nxt)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    steps=st.integers(min_value=0, max_value=8),
+    mode=st.sampled_from(MODES),
+)
+@settings(max_examples=120, deadline=None)
+def test_delay_free_steps_are_the_plain_formula(seed, steps, mode):
+    sys = make_random_system(random.Random(seed), max_neurons=4, max_rules=6)
+    assert not sys.has_delays
+    M = spiking_matrix(sys)
+    for policy in ("first", "random"):
+        tr = run_trace(sys, steps, policy=policy, mode=mode, seed=seed)
+        state = initial_state(sys)
+        for record, after in zip(tr.records, tr.records[1:]):
+            nxt = formula_step(sys, state, record.Sp, mode)[1]
+            assert nxt.config == after.C
+            _assert_plain_step(sys, M, state, record, nxt, mode)
+            state = nxt
+        assert state == tr.final_state
+    tree = run_trace(sys, min(steps, 4), policy="exhaustive", mode=mode)
+    for level in tree.levels:
+        for node in level:
+            for record, child in node.children:
+                _assert_plain_step(sys, M, node.state, record, child.state, mode)

@@ -148,6 +148,22 @@ def test_validate_handcrafted_out_of_range():
     assert {"negative-spikes", "bad-owner", "bad-synapse", "bad-out"} <= set(codes)
 
 
+@pytest.mark.parametrize("owner", [5, -1])
+@pytest.mark.parametrize("forgetting_in", [0, 1])
+def test_out_of_range_owner_is_only_reported(owner, forgetting_in):
+    # an owner past the last neuron must not index rules_of, and a negative
+    # one must not file the rule under the last neuron, beside its forgetting
+    # rule, where the exclusion check would see it
+    s = SNPSystem(
+        ("a", "b"),
+        (1, 1),
+        (make_rule(forgetting_in, None, 1, 0, 0), make_rule(owner, None, 1, 1, 0)),
+        (),
+    )
+    assert validate(s).codes == ("bad-owner",)
+    assert s.rules_of == (((0,), ()) if forgetting_in == 0 else ((), (0,)))
+
+
 def test_serialize_is_canonical_and_round_trips(example1_text, example3_text):
     for text in (example1_text, example3_text, "neuron q spikes=0\n"):
         s = parse_system(text)
