@@ -1,16 +1,17 @@
 """Execution engine: choice tables, spiking vectors, step formulas, traces.
 
-Vectors are plain int tuples; matrices are IntMatrix.  A SimState is the
-carry state entering step k: configuration, per-rule remaining delay
-(dst), and two fields derived from dst: per-neuron open/closed status
-(st) and per-rule queued production (pending, standard mode only).  dst
-is the one delay clock the engine reads.  Steps read the state's
-choice table (each open neuron's applicable rules).  run_trace looks the
-applicable rules up by spike count, in a lookup it keeps for that run
-only; every other caller walks the guards.  The "random" policy lists
-the product of its step's own table.  The tree lists that of each state
-it expands, and expands a state once per run: met again at a later step,
-its first expansion is re-stamped with the new step (_run_tree).
+Vectors are plain int tuples; matrices are IntMatrix.  The engine steps
+plain (config, dst, st): configuration, per-rule remaining delay (dst,
+the one delay clock it reads) and per-neuron open/closed status derived
+from dst.  It hands out a SimState, the carry state entering step k,
+only at its edge: `_state` builds each one, its per-rule queue (pending,
+standard mode only) derived from dst.  Steps read the choice table (each
+open neuron's applicable rules).  run_trace looks the applicable rules
+up by spike count, in a lookup it keeps for that run only; every other
+caller walks the guards.  The "random" policy lists the product of its
+step's own table.  The tree lists that of each state it expands, and
+expands a state once per run: met again at a later step, its first
+expansion is re-stamped with the new step (_run_tree).
 
 Two delay semantics are provided, selected by `mode`:
 
@@ -34,7 +35,7 @@ and rule selection at step k uses the carry status entering k (a neuron
 closing at k in paper-trace mode may still have been selected at k).
 One function, `_advance`, holds both conventions: the formula step, the
 operational oracle and the identity checks all take their recorded DSt,
-St, Iv and carry state from it.  It walks only the delayed rules: an
+St, Iv and carried dst and st from it.  It walks only the delayed rules: an
 undelayed rule is never closed or queued, and fires as Iv = Sp.  Every
 trace and tree step is recorded by C + St (*) (Iv . PM) - Sp . CM: without
 delays the two modes coincide and it is the plain C(k+1) = C(k) + Sp(k) . M.
@@ -91,14 +92,14 @@ POLICIES = ("first", "random", "exhaustive")
 
 
 class SimState(Record):
-    """Carry state entering step k."""
+    """Carry state entering step k, as the engine hands it out (`_state`)."""
 
     k: int
     config: tuple[int, ...]
     dst: tuple[int, ...]  # remaining closed steps per rule
     st: tuple[int, ...]  # open (1) / closed (0) per neuron
     # (release step k + dst - 1, amount) per rule while its dst runs in
-    # standard mode, else None: derived from dst, never read by the engine
+    # standard mode, else None: made by _state from dst, read by no step
     pending: tuple[tuple[int, int] | None, ...]
 
 
@@ -107,15 +108,18 @@ def rule_status(sys: SNPSystem, st: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(st[r.owner] for r in sys.rules)
 
 
+def _state(sys: SNPSystem, k: int, config, dst, st, mode: str) -> SimState:
+    """The one maker of SimStates: the state entering step k, its queue
+    derived from dst (in standard mode a delay d runs out at k + d - 1)."""
+    queue = (None,) * len(dst)
+    if mode == "standard" and any(dst):
+        queue = tuple((k + d - 1, r.p) if d else None for d, r in zip(dst, sys.rules))
+    return SimState(k, config, dst, st, queue)
+
+
 def initial_state(sys: SNPSystem) -> SimState:
-    n = sys.rule_count
-    return SimState(
-        k=0,
-        config=sys.initial,
-        dst=(0,) * n,
-        st=(1,) * sys.neuron_count,
-        pending=(None,) * n,
-    )
+    # nothing runs at k = 0, so nothing is queued in either mode
+    return _state(sys, 0, sys.initial, (0,) * sys.rule_count, (1,) * sys.neuron_count, MODES[0])
 
 
 # --- spiking vectors ---------------------------------------------------------
@@ -239,23 +243,20 @@ def _check_mode(mode: str):
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
 
 
-def _advance(
-    sys: SNPSystem, state: SimState, Sp: tuple[int, ...], mode: str
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], SimState]:
+def _advance(sys: SNPSystem, k: int, dst: tuple[int, ...], Sp: tuple[int, ...], mode: str):
     """The delay bookkeeping of step k, both conventions, in one walk over
     the delayed rules.  Returns the DSt recorded at k, the status it
     implies (which gates deliveries at k), the indicator Iv (immediate
-    firings, plus due releases in standard mode) and the carry state
-    entering k + 1 with the configuration unchanged.
+    firings, plus due releases in standard mode), and the dst and st
+    carried into k + 1.
 
     Newly fired delayed rules take on their full delay; everything else
-    decrements toward 0.  dst is the only clock read: in standard mode a
-    production falls due at k exactly when its rule's dst is 1, and the
-    successor's queue is derived from the carried delay."""
-    standard, k = mode == "standard", state.k
+    decrements toward 0.  dst is the only clock: in standard mode a
+    production falls due at k exactly when its rule's dst is 1.  k is read
+    only for paper-trace's deferral at k = 0."""
+    standard = mode == "standard"
     # an undelayed rule is never closed or queued: rec = left = 0, Iv = Sp
-    rec, carry, iv = list(state.dst), [0] * sys.rule_count, list(Sp)
-    pending = [None] * sys.rule_count
+    rec, carry, iv = list(dst), [0] * sys.rule_count, list(Sp)
     st_rec = [1] * sys.neuron_count
     st_next = [1] * sys.neuron_count
     for i in sys.delayed_rules:
@@ -268,15 +269,12 @@ def _advance(
         else:
             left = rec[i] - 1 if rec[i] > 0 else 0
         carry[i] = left
-        iv[i] = 1 if standard and state.dst[i] == 1 else 0
+        iv[i] = 1 if standard and dst[i] == 1 else 0
         if rec[i] > 0:
             st_rec[r.owner] = 0
         if left > 0:
             st_next[r.owner] = 0
-            if standard:  # released at the step where dst reaches 1
-                pending[i] = (k + left, r.p)
-    nxt = SimState(k + 1, state.config, tuple(carry), tuple(st_next), tuple(pending))
-    return tuple(rec), tuple(st_rec), tuple(iv), nxt
+    return tuple(rec), tuple(st_rec), tuple(iv), tuple(carry), tuple(st_next)
 
 
 def update_delay_state(
@@ -285,7 +283,8 @@ def update_delay_state(
     """Advance the delay bookkeeping one step (configuration untouched);
     the returned state's st and pending are derived from the new dst."""
     _check_mode(mode)
-    return _advance(sys, state, Sp, mode)[3]
+    *_, dst, st = _advance(sys, state.k, state.dst, Sp, mode)
+    return _state(sys, state.k + 1, state.config, dst, st, mode)
 
 
 # --- operational oracle ------------------------------------------------------
@@ -298,20 +297,27 @@ def operational_step(
     delivery to open receivers, no matrix algebra.  Independent of the
     formula-based stepping on purpose; only the delay bookkeeping is shared."""
     _check_mode(mode)
-    spikes = list(state.config)
-    # consumption happens at firing time in both modes
+    _dst, st_now, iv, dst, st = _advance(sys, state.k, state.dst, Sp, mode)
+    config = _deliver(sys, state.config, Sp, iv, st_now)
+    return _state(sys, state.k + 1, config, dst, st, mode)
+
+
+def _deliver(sys: SNPSystem, C, Sp, Iv, St) -> tuple[int, ...]:
+    """Each rule fired by Sp consumes from its neuron, then each rule
+    producing by Iv sends its spikes along every synapse to the receivers
+    open in St: operational_step's configuration, and bfs_oracle's step."""
+    spikes = list(C)
     for i, r in enumerate(sys.rules):
         if Sp[i]:
             spikes[r.owner] -= r.c
             if spikes[r.owner] < 0:
-                raise ValueError(f"rule {i} consumed more than present at {state.config}")
-    _dst, st_now, iv, nxt = _advance(sys, state, Sp, mode)
+                raise ValueError(f"rule {i} consumed more than present at {C}")
     for i, r in enumerate(sys.rules):
-        if iv[i]:
+        if Iv[i]:
             for tgt in sys.targets_of[r.owner]:
-                if st_now[tgt]:  # closed neurons reject spikes
+                if St[tgt]:  # closed neurons reject spikes
                     spikes[tgt] += r.p
-    return SimState(nxt.k, tuple(spikes), nxt.dst, nxt.st, nxt.pending)
+    return tuple(spikes)
 
 
 # --- traces ------------------------------------------------------------------
@@ -373,25 +379,24 @@ def _step_matrices(sys: SNPSystem):
     return production_matrix(sys), consumption_matrix(sys), env
 
 
-def _make_record(
-    sys: SNPSystem, state: SimState, Sp: tuple[int, ...], mode: str, matrices
-) -> tuple[StepRecord, SimState]:
-    """Execute one step by the receiver-gated formula and record it; without
-    delays Iv = Sp and every neuron is open, so the formula is C + Sp . M."""
+def _make_record(sys: SNPSystem, k: int, C, dst, Sp: tuple[int, ...], mode: str, matrices):
+    """Execute step k from (C, dst) by the receiver-gated formula and record
+    it; returns the record and the config, dst and st entering k + 1.
+    Without delays Iv = Sp and every neuron is open: C + Sp . M."""
     PM, CM, env = matrices
-    rec_dst, st_rec, iv, nxt = _advance(sys, state, Sp, mode)
-    c_next = step_with_delay_v1(state.config, Sp, iv, st_rec, PM, CM)
+    rec_dst, st_rec, iv, dst_next, st_next = _advance(sys, k, dst, Sp, mode)
+    c_next = step_with_delay_v1(C, Sp, iv, st_rec, PM, CM)
     record = StepRecord(
-        k=state.k,
-        C=state.config,
+        k=k,
+        C=C,
         Sp=Sp,
         Iv=iv,
         St=st_rec,
         DSt=rec_dst,
-        NG=vec_sub(c_next, state.config),
+        NG=vec_sub(c_next, C),
         emitted=sum(e * iv[i] for i, e in env),
     )
-    return record, SimState(nxt.k, c_next, nxt.dst, nxt.st, nxt.pending)
+    return record, c_next, dst_next, st_next
 
 
 def formula_step(
@@ -400,7 +405,9 @@ def formula_step(
     """One formula-based step (record + next state) for external callers;
     run_trace uses the same machinery with the matrices built once."""
     _check_mode(mode)
-    return _make_record(sys, state, Sp, mode, _step_matrices(sys))
+    mats = _step_matrices(sys)
+    record, *nxt = _make_record(sys, state.k, state.config, state.dst, Sp, mode, mats)
+    return record, _state(sys, state.k + 1, *nxt, mode)
 
 
 def _terminal_record(sys: SNPSystem, state: SimState) -> StepRecord:
@@ -418,11 +425,11 @@ def _terminal_record(sys: SNPSystem, state: SimState) -> StepRecord:
     )
 
 
-def _is_halted(state: SimState, choices: list[tuple[int, ...]]) -> bool:
+def _is_halted(st: tuple[int, ...], choices: list[tuple[int, ...]]) -> bool:
     """Halted: no choice (an empty choice table, or no vector listed from it)
     and no closed neuron, which also means nothing is queued: the queue is
     derived from dst, and a running delay keeps its neuron closed."""
-    return not choices and all(state.st)
+    return not choices and all(st)
 
 
 def run_trace(
@@ -458,25 +465,28 @@ def run_trace(
 
     mats = _step_matrices(sys)
     memo = [{} for _ in range(sys.neuron_count)]  # this run's applicability lookup
-    state = initial_state(sys)
+    start = initial_state(sys)
+    k, config, dst, st = 0, start.config, start.dst, start.st
     records: list[StepRecord] = []
     while True:
-        table = choice_table(sys, state.config, state.st, memo)
-        halted = _is_halted(state, table)
-        if halted or len(records) >= steps:
+        table = choice_table(sys, config, st, memo)
+        halted = _is_halted(st, table)
+        if halted or k >= steps:
             break
         if policy == "random" and table:
             sp = rng.choice(table_vectors(sys, table))
         else:  # every entry's head; an empty table idles while delays count down
             sp = spiking_vector(sys, (rules[0] for rules in table))
-        record, state = _make_record(sys, state, sp, mode, mats)
+        record, config, dst, st = _make_record(sys, k, config, dst, sp, mode, mats)
         records.append(record)
-    records.append(_terminal_record(sys, state))
+        k += 1
+    final = _state(sys, k, config, dst, st, mode)
+    records.append(_terminal_record(sys, final))
     return Trace(
         mode=mode,
         policy=policy,
         records=tuple(records),
-        final_state=state,
+        final_state=final,
         halted=halted,
     )
 
@@ -511,23 +521,16 @@ class TraceTree(Record, eq=False):
         return paths[self.root]
 
 
-def _shifted(pending, delta: int) -> tuple:
-    """A queue with each release step moved by `delta`."""
-    return tuple(None if q is None else (q[0] + delta, q[1]) for q in pending)
-
-
 def _run_tree(sys: SNPSystem, depth: int, mode: str) -> TraceTree:
     """Expand level by level.  A level maps the keys (config, dst, k == 0)
-    of its distinct states to their nodes in discovery order; a node is made
-    on first reach.  st follows from dst, and the queue from k and dst, so
-    states with equal keys expand alike at any step, but for paper-trace's
-    deferral at k = 0.  Each key is expanded once per run, its (record,
-    successor, successor key) edges kept; a later node with that key at step
-    k reuses them, each record remade with k and each successor state made,
-    on its first reach in the level below, with k + 1 and its queue shifted."""
+    of its distinct states to their nodes in discovery order.  st follows
+    from dst, so states with equal keys expand alike at any step, but for
+    paper-trace's deferral at k = 0.  Each key is expanded once per run, its
+    (record, successor key, successor st) edges kept; a later node with that
+    key at step k reuses them, each record remade with k.  A node's state is
+    made once, on its first reach, at its own step."""
     mats = _step_matrices(sys)
     idle = [(0,) * sys.rule_count]
-    shift = mode == "standard" and sys.has_delays  # else the queue stays empty
     edges = {}  # key -> its edges, as made at the step where it was first met
     root = TreeNode(initial_state(sys), [])
     levels, level = [], {(root.state.config, root.state.dst, True): root}
@@ -539,20 +542,18 @@ def _run_tree(sys: SNPSystem, depth: int, mode: str) -> TraceTree:
         for key, node in level.items():
             out = edges.get(key)
             if out is None:
-                state = node.state
-                sps = enumerate_spiking_vectors(sys, state.config, state.st)
-                made = [] if _is_halted(state, sps) else [
-                    _make_record(sys, state, sp, mode, mats) for sp in sps or idle
+                config, dst, _first = key
+                sps = enumerate_spiking_vectors(sys, config, node.state.st)
+                made = [] if _is_halted(node.state.st, sps) else [
+                    _make_record(sys, k, config, dst, sp, mode, mats) for sp in sps or idle
                 ]
-                out = edges[key] = [(r, nxt, (nxt.config, nxt.dst, False)) for r, nxt in made]
-            for r, nxt, nkey in out:
+                out = edges[key] = [(r, (c, d, False), s) for r, c, d, s in made]
+            for r, nkey, nst in out:
                 if r.k != k:
                     r = StepRecord(k, r.C, r.Sp, r.Iv, r.St, r.DSt, r.NG, r.emitted)
                 child = below.get(nkey)
                 if child is None:
-                    if nxt.k != k + 1:
-                        queue = _shifted(nxt.pending, k + 1 - nxt.k) if shift else nxt.pending
-                        nxt = SimState(k + 1, nxt.config, nxt.dst, nxt.st, queue)
+                    nxt = _state(sys, k + 1, nkey[0], nkey[1], nst, mode)
                     child = below[nkey] = TreeNode(nxt, [])
                 node.children.append((r, child))
         level = below
@@ -629,12 +630,12 @@ def check_step_identities(
     M, PM, CM = spiking_matrix(sys), production_matrix(sys), consumption_matrix(sys)
     entries = []
     for sp in enumerate_spiking_vectors(sys, state.config, state.st):
-        _dst, st_rec, iv, nxt = _advance(sys, state, sp, mode)
+        _dst, st_rec, iv, _carry, st_next = _advance(sys, state.k, state.dst, sp, mode)
         rst = rule_status(sys, st_rec)
         lhs = hadamard(st_rec, M.vecmat(iv))
         rhs = M.vecmat(hadamard(rst, iv))
         v1 = step_with_delay_v1(state.config, sp, iv, st_rec, PM, CM)
-        v2 = step_with_delay_v2(state.config, iv, nxt.st, M)
+        v2 = step_with_delay_v2(state.config, iv, st_next, M)
         oracle = operational_step(sys, state, sp, mode).config
         entries.append(
             StepIdentityEntry(

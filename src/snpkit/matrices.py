@@ -105,14 +105,20 @@ def hadamard(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x * y for x, y in zip(a, b, strict=True))
 
 
-def spiking_matrix(sys: SNPSystem) -> IntMatrix:
+def _rule_matrix(sys: SNPSystem, consumed: int, produced: int) -> IntMatrix:
+    """One row per rule: consumed * c in its owner's column, plus
+    produced * p in each synaptic target column of the owner."""
     n, m = sys.rule_count, sys.neuron_count
     data = [[0] * m for _ in range(n)]
     for i, r in enumerate(sys.rules):
-        data[i][r.owner] -= r.c
+        data[i][r.owner] += consumed * r.c
         for tgt in sys.targets_of[r.owner]:
-            data[i][tgt] += r.p
+            data[i][tgt] += produced * r.p
     return IntMatrix(n, m, tuple(tuple(row) for row in data))
+
+
+def spiking_matrix(sys: SNPSystem) -> IntMatrix:
+    return _rule_matrix(sys, -1, 1)
 
 
 def augmented_matrix(sys: SNPSystem) -> IntMatrix:
@@ -128,20 +134,11 @@ def augmented_matrix(sys: SNPSystem) -> IntMatrix:
 
 
 def production_matrix(sys: SNPSystem) -> IntMatrix:
-    n, m = sys.rule_count, sys.neuron_count
-    data = [[0] * m for _ in range(n)]
-    for i, r in enumerate(sys.rules):
-        for tgt in sys.targets_of[r.owner]:
-            data[i][tgt] += r.p
-    return IntMatrix(n, m, tuple(tuple(row) for row in data))
+    return _rule_matrix(sys, 0, 1)
 
 
 def consumption_matrix(sys: SNPSystem) -> IntMatrix:
-    n, m = sys.rule_count, sys.neuron_count
-    data = [[0] * m for _ in range(n)]
-    for i, r in enumerate(sys.rules):
-        data[i][r.owner] += r.c
-    return IntMatrix(n, m, tuple(tuple(row) for row in data))
+    return _rule_matrix(sys, 1, 0)
 
 
 def struc_matrix(sys: SNPSystem) -> IntMatrix:

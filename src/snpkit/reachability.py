@@ -16,7 +16,9 @@ into k valid spiking vectors applied in sequence.  The pipeline:
      its parent's, and a witness's configurations and a refused
      candidate's table are both read from that search;
   3. cross-checkable against bfs_oracle, a direct breadth-first
-     exploration of the computation tree that ignores the algebra.
+     exploration of the computation tree that ignores the algebra: it
+     steps by the operational simulator's per-synapse delivery, never
+     by M.
 
 Delay-free systems only: with delays the per-step gain depends on
 open/closed status, so C - C(0) = s . M no longer characterizes paths.
@@ -29,7 +31,7 @@ production is lost to a closure that no later mask cancels).
 from __future__ import annotations
 
 from .engine import (
-    Trace, choice_table, enumerate_spiking_vectors, rule_status, spiking_vector,
+    Trace, _deliver, choice_table, enumerate_spiking_vectors, rule_status, spiking_vector,
     step_no_delay, table_vectors,
 )
 from .matrices import IntMatrix, hadamard, spiking_matrix, vec_sub
@@ -379,11 +381,11 @@ def reachable_set(
     sys: SNPSystem, k_max: int, C_from: tuple[int, ...] | None = None
 ) -> dict[tuple[int, ...], int]:
     """Every configuration reachable within k_max steps, mapped to its
-    breadth-first (= smallest) step count."""
+    breadth-first (= smallest) step count.  Each step is the operational
+    simulator's consumption and per-synapse delivery: no matrix."""
     if sys.has_delays:
         raise ValueError("breadth-first reachability needs a delay-free system")
     ones = (1,) * sys.neuron_count
-    M = spiking_matrix(sys)
     start = tuple(sys.initial if C_from is None else C_from)
     depth = {start: 0}
     frontier = [start]
@@ -391,7 +393,7 @@ def reachable_set(
         nxt = []
         for config in frontier:
             for sp in enumerate_spiking_vectors(sys, config, ones):
-                child = step_no_delay(config, sp, M)
+                child = _deliver(sys, config, sp, sp, ones)
                 if child not in depth:
                     depth[child] = level
                     nxt.append(child)

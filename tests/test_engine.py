@@ -806,6 +806,26 @@ def test_each_key_listed_once(text, mode, depth, recurs):
     assert (calls < sum(len(level) for level in tree.levels[:depth])) is recurs
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "text", ["example1", "example3", DELAYED_RING], ids=["example1", "example3", "delayed-ring"]
+)
+def test_simstates_are_made_only_at_the_edge(text, mode):
+    """The engine steps plain (config, dst, st): a trace makes the initial
+    and the final SimState whatever its length, and a tree one per node."""
+    if text.startswith("example"):
+        text = (SYSTEMS_DIR / f"{text}.snp").read_text()
+    sys = parse_system(text)
+    for policy, seed in (("first", None), ("random", 5)):
+        with mock.patch("snpkit.engine.SimState", wraps=SimState) as made:
+            trace = run_trace(sys, 12, policy=policy, mode=mode, seed=seed)
+        assert len(trace.records) > 3
+        assert made.call_count == 2
+    with mock.patch("snpkit.engine.SimState", wraps=SimState) as made:
+        tree = run_trace(sys, 12, policy="exhaustive", mode=mode)
+    assert made.call_count == sum(len(level) for level in tree.levels)
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_exhaustive_build_pauses_cyclic_gc(example1, enabled):
     seen = []
@@ -1003,13 +1023,16 @@ def _walk_against_reference(sys, mode, rng, steps):
         cands = enumerate_spiking_vectors(sys, state.config, state.st)
         sp = rng.choice(cands) if cands else (0,) * sys.rule_count
         rec_dst = _ref_recorded_dst(sys, state, sp, mode)
+        carry = _ref_update_delay_state(sys, state, sp, mode)
         expected = (
             rec_dst,
             status_from_dst(sys, rec_dst),
             _ref_indicator(sys, state, sp, mode),
-            _ref_update_delay_state(sys, state, sp, mode),
+            carry.dst,
+            carry.st,
         )
-        assert _advance(sys, state, sp, mode) == expected
+        assert _advance(sys, state.k, state.dst, sp, mode) == expected
+        assert update_delay_state(sys, state, sp, mode) == carry
         state = formula_step(sys, state, sp, mode)[1]
 
 
@@ -1075,7 +1098,7 @@ def test_bookkeeping_is_blind_to_the_queue(seed):
             blanked = SimState(state.k, state.config, state.dst, state.st, blank)
             cands = enumerate_spiking_vectors(sys, state.config, state.st)
             sp = rng.choice(cands) if cands else (0,) * sys.rule_count
-            for step in (_advance, operational_step, formula_step):
+            for step in (update_delay_state, operational_step, formula_step):
                 assert step(sys, blanked, sp, mode) == step(sys, state, sp, mode)
             state = formula_step(sys, state, sp, mode)[1]
 

@@ -3,9 +3,11 @@
 Golden values were derived by hand (solving the linear systems and
 walking the decompositions on paper) and are cross-checked here against
 bfs_oracle, which explores the computation tree directly and shares no
-code with the algebraic pipeline.  The fraction-free elimination and the
-integer candidate enumeration are also checked against the rational
-elimination and walk they replaced, kept below as a test-only reference.
+code with the algebraic pipeline: it steps by the operational
+simulator's per-synapse delivery, never by the spiking matrix.  The
+fraction-free elimination and the integer candidate enumeration are also
+checked against the rational elimination and walk they replaced, kept
+below as a test-only reference.
 """
 
 import json
@@ -655,6 +657,19 @@ def test_bfs_oracle_depths(example1):
     assert bfs_oracle(example1, (1, 0, 1), 4) == (True, 4)
     assert bfs_oracle(example1, (1, 0, 1), 3) == (False, None)
     assert bfs_oracle(example1, (1, 1, 2), 8, C_from=(2, 1, 2)) == (True, 1)
+
+
+def test_bfs_steps_without_the_algebra(example1):
+    """The oracle steps by per-synapse delivery: with the spiking matrix and
+    the matrix step unusable, it still gives the pinned answers."""
+
+    def unusable(*args):
+        raise AssertionError("the breadth-first oracle used the algebra")
+
+    with mock.patch.object(reachability, "spiking_matrix", unusable), \
+            mock.patch.object(reachability, "step_no_delay", unusable):
+        test_bfs_map_depth_4(example1)
+        test_bfs_oracle_depths(example1)
 
 
 def test_bfs_rejects_delayed_system(example3):

@@ -2,7 +2,7 @@
 
 Every script exits 0 without a traceback, formula_report takes the
 gating identity at the states its trace really passed through, and
-replay_outputs prints one digest line per workload, pinned for seed 1.
+replay_outputs prints one digest line per workload, pinned for seeds 1-3.
 """
 
 import subprocess
@@ -60,22 +60,22 @@ def test_formula_report_gating_identity_at_replayed_states():
     )
 
 
-# The query count and digest of seed 1's queries: a change that alters any
-# byte the CLI prints (JSON layout, matrix text, a trace's choices, a
-# verdict) fails here.  A change that alters the output on purpose updates
-# them.
-REPLAY_SEED_1 = {
-    "sim": (105, "ca1ff041a76ef6afa24a97b1a08e22d1073d61d474f5e60b86cd6312d49e153b"),
-    "explore": (104, "d799e956ac4695cfc8642cacfcfb127c691b355ea9d1bd320b9241ed109120f7"),
-    "reach": (105, "924e694eeaeaf5a6e12b23fce1ea67bf7fe9926e1c2db15dba5bf1b6d5275bc2"),
-    "static": (105, "700b45b577a19d0967b95f5e9b62b397b4829febea3f9d90d2111e72ebdac7e1"),
+# The query count and digest of the queries of seeds 1, 2 and 3, the
+# byte-identity gate: a change that alters any byte the CLI prints (JSON
+# layout, matrix text, a trace's choices, a verdict) fails here.  A change
+# that alters the output on purpose updates them.
+REPLAY_SEEDS_1_2_3 = {
+    "sim": (315, "dfbd3e4b5c91019d6145d1d3b48907142520114976fbafb9a94e3a01f1b7e42d"),
+    "explore": (312, "3d92c42a14db311a7de2b6c103dfc58a6aae1c4968c515c1fd4303d268c8cfc8"),
+    "reach": (315, "cc5d69d05f83dea4040411b447ec51f51db872317825476486e18599d1353ea0"),
+    "static": (315, "c1d28575127c760f2107fb3adf81e0185ecb7a29d266fcf8bd4d7ce45ffbcfa9"),
 }
 
 
 def test_replay_outputs_prints_one_digest_per_workload():
-    proc = run_script("replay_outputs.py", *REPLAY_SEED_1, "--seeds", "1")
+    proc = run_script("replay_outputs.py", *REPLAY_SEEDS_1_2_3, "--seeds", "1,2,3")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        f"{name} seeds 1: {count} queries sha256 {sha}"
-        for name, (count, sha) in REPLAY_SEED_1.items()
+        f"{name} seeds 1,2,3: {count} queries sha256 {sha}"
+        for name, (count, sha) in REPLAY_SEEDS_1_2_3.items()
     ]
