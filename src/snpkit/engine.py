@@ -111,15 +111,14 @@ def rule_status(sys: SNPSystem, st: tuple[int, ...]) -> tuple[int, ...]:
 def _state(sys: SNPSystem, k: int, config, dst, st, mode: str) -> SimState:
     """The one maker of SimStates: the state entering step k, its queue
     derived from dst (in standard mode a delay d runs out at k + d - 1)."""
-    queue = (None,) * len(dst)
-    if mode == "standard" and any(dst):
-        queue = tuple((k + d - 1, r.p) if d else None for d, r in zip(dst, sys.rules))
+    standard = mode == "standard"
+    queue = tuple((k + d - 1, r.p) if standard and d else None for d, r in zip(dst, sys.rules))
     return SimState(k, config, dst, st, queue)
 
 
 def initial_state(sys: SNPSystem) -> SimState:
     # nothing runs at k = 0, so nothing is queued in either mode
-    return _state(sys, 0, sys.initial, (0,) * sys.rule_count, (1,) * sys.neuron_count, MODES[0])
+    return _state(sys, 0, sys.initial, (0,) * sys.rule_count, (1,) * sys.neuron_count, "standard")
 
 
 # --- spiking vectors ---------------------------------------------------------
@@ -305,7 +304,8 @@ def operational_step(
 def _deliver(sys: SNPSystem, C, Sp, Iv, St) -> tuple[int, ...]:
     """Each rule fired by Sp consumes from its neuron, then each rule
     producing by Iv sends its spikes along every synapse to the receivers
-    open in St: operational_step's configuration, and bfs_oracle's step."""
+    open in St: operational_step's configuration, and the step of
+    reachability.reachable_set (bfs_oracle), which imports it by name."""
     spikes = list(C)
     for i, r in enumerate(sys.rules):
         if Sp[i]:
