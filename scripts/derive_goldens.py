@@ -11,6 +11,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from snpkit.engine import run_trace
+from snpkit.formulas import verify_delay_closed_form
 from snpkit.matrices import (
     augmented_matrix,
     consumption_matrix,
@@ -25,7 +26,6 @@ from snpkit.reachability import (
     is_reachable,
     reachable_set,
     sum_vector_solutions,
-    verify_delay_closed_form,
 )
 
 SYSTEMS = pathlib.Path(__file__).resolve().parents[1] / "systems"

@@ -15,15 +15,13 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from snpkit.engine import (
+from cli_load import load_valid
+from snpkit.engine import initial_state, operational_step, run_trace
+from snpkit.formulas import (
     check_step_identities,
     formula_comparison_report,
-    initial_state,
-    operational_step,
-    run_trace,
+    verify_delay_closed_form,
 )
-from snpkit.model import parse_system
-from snpkit.reachability import verify_delay_closed_form
 
 DEFAULT = pathlib.Path(__file__).resolve().parents[1] / "systems" / "example3.snp"
 
@@ -34,7 +32,7 @@ def main() -> None:
     ap.add_argument("--steps", type=int, default=5)
     args = ap.parse_args()
 
-    sys_ = parse_system(pathlib.Path(args.system).read_text())
+    sys_ = load_valid(args.system)
 
     for mode in ("paper-trace", "standard"):
         trace = run_trace(sys_, args.steps, policy="first", mode=mode)

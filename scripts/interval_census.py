@@ -14,8 +14,8 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from cli_load import load_valid
 from snpkit.engine import MODES, achievable_first_intervals, run_trace
-from snpkit.model import parse_system
 
 DEFAULT = pathlib.Path(__file__).resolve().parents[1] / "systems" / "example1.snp"
 
@@ -27,7 +27,7 @@ def main() -> None:
     ap.add_argument("--mode", choices=MODES, default="standard")
     args = ap.parse_args()
 
-    sys_ = parse_system(pathlib.Path(args.system).read_text())
+    sys_ = load_valid(args.system)
     if sys_.out_neuron is None:
         raise SystemExit("system has no out neuron; nothing is ever emitted")
 

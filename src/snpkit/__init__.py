@@ -1,8 +1,8 @@
 """snpkit: exact integer matrix semantics for spiking neural P systems.
 
-Subpackages cover guard-regex compilation, system parsing/validation,
-matrix construction, step-by-step simulation (with and without rule
-delays), and reachability analysis over sum vectors.
+Modules: regex (guard compilation), model (parsing, validation),
+matrices, engine (stepping with and without rule delays), reachability
+(sum vectors), formulas (the paper's formula comparisons) and cli.
 """
 
 __version__ = "0.1.0"

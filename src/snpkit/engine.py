@@ -34,8 +34,8 @@ In both modes the recorded status of step k gates deliveries at step k,
 and rule selection at step k uses the carry status entering k (a neuron
 closing at k in paper-trace mode may still have been selected at k).
 One function, `_advance`, holds both conventions: the formula step, the
-operational oracle and the identity checks all take their recorded DSt,
-St, Iv and carried dst and st from it.  It walks only the delayed rules: an
+operational oracle and the identity checks (in `formulas`) all take their
+recorded DSt, St, Iv and carried dst and st from it.  It walks only the delayed rules: an
 undelayed rule is never closed or queued, and fires as Iv = Sp.  Every
 trace and tree step is recorded by C + St (*) (Iv . PM) - Sp . CM: without
 delays the two modes coincide and it is the plain C(k+1) = C(k) + Sp(k) . M.
@@ -51,9 +51,8 @@ from .matrices import (
     IntMatrix,
     augmented_matrix,
     consumption_matrix,
-    hadamard,
     production_matrix,
-    spiking_matrix,
+    spiking_matrix,  # not called here: perfbench/tracing.py::install wraps engine.spiking_matrix
     vec_add,
     vec_sub,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "TreeNode",
     "TraceTree",
     "initial_state",
-    "rule_status",
     "choice_table",
     "spiking_vector",
     "table_vectors",
@@ -74,17 +72,10 @@ __all__ = [
     "is_valid_spiking_vector",
     "step_no_delay",
     "step_with_delay_v1",
-    "step_with_delay_v2",
-    "update_delay_state",
     "operational_step",
     "formula_step",
     "run_trace",
     "achievable_first_intervals",
-    "check_step_identities",
-    "StepIdentityEntry",
-    "IdentityReport",
-    "FormulaComparison",
-    "formula_comparison_report",
 ]
 
 MODES = ("standard", "paper-trace")
@@ -101,11 +92,6 @@ class SimState(Record):
     # (release step k + dst - 1, amount) per rule while its dst runs in
     # standard mode, else None: made by _state from dst, read by no step
     pending: tuple[tuple[int, int] | None, ...]
-
-
-def rule_status(sys: SNPSystem, st: tuple[int, ...]) -> tuple[int, ...]:
-    """Per-rule openness of the owner neuron."""
-    return tuple(st[r.owner] for r in sys.rules)
 
 
 def _state(sys: SNPSystem, k: int, config, dst, st, mode: str) -> SimState:
@@ -223,17 +209,6 @@ def step_with_delay_v1(
     return nxt
 
 
-def step_with_delay_v2(
-    C: tuple[int, ...],
-    Iv: tuple[int, ...],
-    St_next: tuple[int, ...],
-    M: IntMatrix,
-) -> tuple[int, ...]:
-    """St(k+1) (*) (C + Iv . M); the next-step status masks everything."""
-    gains = M.vecmat(Iv)
-    return tuple(s * (c + g) for s, c, g in zip(St_next, C, gains, strict=True))
-
-
 # --- delay bookkeeping -------------------------------------------------------
 
 
@@ -274,16 +249,6 @@ def _advance(sys: SNPSystem, k: int, dst: tuple[int, ...], Sp: tuple[int, ...], 
         if left > 0:
             st_next[r.owner] = 0
     return tuple(rec), tuple(st_rec), tuple(iv), tuple(carry), tuple(st_next)
-
-
-def update_delay_state(
-    sys: SNPSystem, state: SimState, Sp: tuple[int, ...], mode: str = "standard"
-) -> SimState:
-    """Advance the delay bookkeeping one step (configuration untouched);
-    the returned state's st and pending are derived from the new dst."""
-    _check_mode(mode)
-    *_, dst, st = _advance(sys, state.k, state.dst, Sp, mode)
-    return _state(sys, state.k + 1, state.config, dst, st, mode)
 
 
 # --- operational oracle ------------------------------------------------------
@@ -578,118 +543,3 @@ def achievable_first_intervals(tree: TraceTree) -> set[int]:
                 if None in here:
                     into.add(record.k)
     return out
-
-
-# --- cross-formula checks ----------------------------------------------------
-
-
-class StepIdentityEntry(Record):
-    Sp: tuple[int, ...]
-    Iv: tuple[int, ...]
-    St: tuple[int, ...]
-    RSt: tuple[int, ...]
-    lhs: tuple[int, ...]  # St (*) (Iv . M)
-    rhs: tuple[int, ...]  # (RSt (*) Iv) . M
-    rst_identity_holds: bool
-    v1_config: tuple[int, ...]
-    v2_config: tuple[int, ...]
-    oracle_config: tuple[int, ...]
-    v1_eq_v2: bool
-    v1_eq_oracle: bool
-
-
-class IdentityReport(Record):
-    k: int
-    entries: tuple[StepIdentityEntry, ...]
-
-    @property
-    def all_agree(self) -> bool:
-        return all(
-            e.rst_identity_holds and e.v1_eq_v2 and e.v1_eq_oracle
-            for e in self.entries
-        )
-
-
-def check_step_identities(
-    sys: SNPSystem,
-    state: SimState,
-    mode: str = "standard",
-) -> IdentityReport:
-    """For every valid spiking vector at `state`, compare the one-step
-    results of the v1 and v2 formulas and the operational oracle, and
-    evaluate both sides of the owner-vs-receiver status identity
-    St (*) (Iv . M) = (RSt (*) Iv) . M.  Everything is reported, nothing
-    asserted: the identity genuinely fails on states where a closed
-    neuron's column and an open producer's row meet.
-
-    v2 needs the status at k+1; it takes the carry status implied by
-    each candidate.  The status a trace records at k+1 can differ (when
-    the next step itself fires a delayed rule and closures are recorded
-    at firing time); formula_comparison_report covers that reading
-    along a recorded trace."""
-    M, PM, CM = spiking_matrix(sys), production_matrix(sys), consumption_matrix(sys)
-    entries = []
-    for sp in enumerate_spiking_vectors(sys, state.config, state.st):
-        _dst, st_rec, iv, _carry, st_next = _advance(sys, state.k, state.dst, sp, mode)
-        rst = rule_status(sys, st_rec)
-        lhs = hadamard(st_rec, M.vecmat(iv))
-        rhs = M.vecmat(hadamard(rst, iv))
-        v1 = step_with_delay_v1(state.config, sp, iv, st_rec, PM, CM)
-        v2 = step_with_delay_v2(state.config, iv, st_next, M)
-        oracle = operational_step(sys, state, sp, mode).config
-        entries.append(
-            StepIdentityEntry(
-                Sp=sp,
-                Iv=iv,
-                St=st_rec,
-                RSt=rst,
-                lhs=lhs,
-                rhs=rhs,
-                rst_identity_holds=lhs == rhs,
-                v1_config=v1,
-                v2_config=v2,
-                oracle_config=oracle,
-                v1_eq_v2=v1 == v2,
-                v1_eq_oracle=v1 == oracle,
-            )
-        )
-    return IdentityReport(k=state.k, entries=tuple(entries))
-
-
-class FormulaComparison(Record):
-    """One executed step of a trace, re-derived through each formula."""
-
-    k: int
-    actual_next: tuple[int, ...]
-    v2_carry: tuple[int, ...]  # St(k+1) = carry status entering k+1
-    v2_recorded: tuple[int, ...]  # St(k+1) = status recorded at k+1
-    v2_carry_agrees: bool
-    v2_recorded_agrees: bool
-
-
-def formula_comparison_report(
-    sys: SNPSystem, trace: Trace
-) -> tuple[FormulaComparison, ...]:
-    """Re-evaluate the masked one-step formula along a recorded trace,
-    under both readings of "status at k+1".  The readings split exactly
-    at steps whose successor fires a delayed rule; the report states the
-    split instead of leaning on either side."""
-    M = spiking_matrix(sys)
-    out = []
-    records = trace.records
-    state = initial_state(sys)  # replays the trace's delay bookkeeping
-    for rec, nxt in zip(records, records[1:]):
-        state = update_delay_state(sys, state, rec.Sp, trace.mode)
-        v2c = step_with_delay_v2(rec.C, rec.Iv, state.st, M)
-        v2r = step_with_delay_v2(rec.C, rec.Iv, nxt.St, M)
-        out.append(
-            FormulaComparison(
-                k=rec.k,
-                actual_next=nxt.C,
-                v2_carry=v2c,
-                v2_recorded=v2r,
-                v2_carry_agrees=v2c == nxt.C,
-                v2_recorded_agrees=v2r == nxt.C,
-            )
-        )
-    return tuple(out)

@@ -22,19 +22,16 @@ into k valid spiking vectors applied in sequence.  The pipeline:
 
 Delay-free systems only: with delays the per-step gain depends on
 open/closed status, so C - C(0) = s . M no longer characterizes paths.
-For delayed systems this module offers verify_delay_closed_form, which
-replays a recorded trace against the status-masked closed-form sum and
-reports where the two sides agree (they provably split at steps whose
-production is lost to a closure that no later mask cancels).
+Delayed traces are checked by formulas.verify_delay_closed_form.
 """
 
 from __future__ import annotations
 
 from .engine import (
-    Trace, _deliver, choice_table, enumerate_spiking_vectors, rule_status, spiking_vector,
-    step_no_delay, table_vectors,
+    _deliver, choice_table, enumerate_spiking_vectors, spiking_vector, step_no_delay,
+    table_vectors,
 )
-from .matrices import IntMatrix, hadamard, spiking_matrix, vec_sub
+from .matrices import IntMatrix, spiking_matrix, vec_sub
 from .model import Record, SNPSystem
 
 __all__ = [
@@ -47,9 +44,6 @@ __all__ = [
     "reach_between",
     "bfs_oracle",
     "reachable_set",
-    "ClosedFormEntry",
-    "ClosedFormReport",
-    "verify_delay_closed_form",
 ]
 
 
@@ -411,62 +405,3 @@ def bfs_oracle(
     depth = reachable_set(sys, k_max, C_from)
     k = depth.get(tuple(C_target))
     return (k is not None), k
-
-
-# --- closed form along delayed traces ------------------------------------------------
-
-
-class ClosedFormEntry(Record):
-    prefix: int  # uses records 0..prefix, predicts C(prefix+1)
-    predicted: tuple[int, ...]
-    actual: tuple[int, ...]
-    agrees: bool
-
-
-class ClosedFormReport(Record):
-    entries: tuple[ClosedFormEntry, ...]
-
-    @property
-    def all_agree(self) -> bool:
-        return all(e.agrees for e in self.entries)
-
-    @property
-    def first_failure(self) -> int | None:
-        return next((e.prefix for e in self.entries if not e.agrees), None)
-
-
-def verify_delay_closed_form(sys: SNPSystem, trace: Trace) -> ClosedFormReport:
-    """Evaluate, for every prefix of the trace, the status-masked sum
-
-        C(k+1) =? (St(1) (*) ... (*) St(k+1)) (*) C(0)
-                  + sum_j (St(j+2) (*) ... (*) St(k+1))
-                          (*) ((RSt(j+1) (*) Iv(j)) . M)
-
-    against the recorded C(k+1).  Per-entry agreement is reported, never
-    asserted: a production lost to a closed receiver at step j is only
-    cancelled if some later status mask covers that neuron, so prefixes
-    whose last steps lose spikes genuinely disagree.  On a delay-free
-    trace every status is open and the sum collapses to the telescoped
-    C(0) + (sum Sp) . M, which always agrees.
-
-    The sum is evaluated in one pass by its exact recurrence
-
-        P(k) = St(k+1) (*) P(k-1) + (RSt(k+1) (*) Iv(k)) . M,  P(-1) = C(0)."""
-    M = spiking_matrix(sys)
-    records = trace.records
-    predicted = records[0].C
-    entries = []
-    for k, (rec, nxt) in enumerate(zip(records, records[1:])):
-        producing = hadamard(rule_status(sys, nxt.St), rec.Iv)
-        predicted = tuple(
-            mask * p + g for mask, p, g in zip(nxt.St, predicted, M.vecmat(producing))
-        )
-        entries.append(
-            ClosedFormEntry(
-                prefix=k,
-                predicted=predicted,
-                actual=nxt.C,
-                agrees=predicted == nxt.C,
-            )
-        )
-    return ClosedFormReport(tuple(entries))

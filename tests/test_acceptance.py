@@ -13,15 +13,13 @@ from gensys import make_random_system
 from snpkit.engine import (
     SimState,
     achievable_first_intervals,
-    check_step_identities,
     enumerate_spiking_vectors,
     initial_state,
     operational_step,
-    rule_status,
     run_trace,
     step_no_delay,
-    step_with_delay_v2,
 )
+from snpkit.formulas import check_step_identities, rule_status, step_with_delay_v2
 from snpkit.matrices import (
     consumption_matrix,
     hadamard,

@@ -849,10 +849,11 @@ def test_guard_compiles_or_is_refused_in_bounded_time(capsys, tmp_path, guard, l
 
 def test_cli_import_loads_no_rational_arithmetic():
     # every query pays the CLI's imports: the arithmetic is integer only,
-    # and records are built without dataclasses (which imports inspect)
+    # records are built without dataclasses (which imports inspect), and
+    # the formula comparisons, which no subcommand runs, stay unloaded
     code = (
-        "import sys, snpkit.cli; "
-        "print(sorted({'fractions', 'decimal', 'dataclasses', 'inspect'} & set(sys.modules)))"
+        "import sys, snpkit.cli; print(sorted({'fractions', 'decimal', 'dataclasses', "
+        "'inspect', 'snpkit.formulas'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

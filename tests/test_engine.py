@@ -24,19 +24,21 @@ from snpkit.engine import (
     _advance,
     _terminal_record,
     achievable_first_intervals,
-    check_step_identities,
     choice_table,
     enumerate_spiking_vectors,
-    formula_comparison_report,
     formula_step,
     initial_state,
     is_valid_spiking_vector,
     operational_step,
-    rule_status,
     run_trace,
     spiking_vector,
     step_no_delay,
     step_with_delay_v1,
+)
+from snpkit.formulas import (
+    check_step_identities,
+    formula_comparison_report,
+    rule_status,
     step_with_delay_v2,
     update_delay_state,
 )
@@ -511,6 +513,21 @@ def test_identity_fails_when_gatings_differ(example3):
     assert not entry.rst_identity_holds
     assert entry.v1_eq_oracle  # the trace semantics itself is consistent
     assert not rep.all_agree
+
+
+def test_v2_masks_by_the_carry_status_entering_k_plus_1(example3):
+    # standard, entering k=2: sigma3's production falls due while it is
+    # closed, and it reopens at k+1, so v2's mask keeps the -1 that Iv . M
+    # charges it for the consumption it made at firing
+    state = SimState(
+        k=2, config=(1, 0, 0), dst=(0, 0, 0, 1), st=(1, 1, 0),
+        pending=(None, None, None, (2, 1)),
+    )
+    (entry,) = check_step_identities(example3, state).entries
+    assert entry.St == (1, 1, 0) and entry.Iv == (1, 0, 0, 1)
+    assert entry.v1_config == entry.oracle_config == (0, 2, 0)
+    assert entry.v2_config == (0, 2, -1)
+    assert not entry.v1_eq_v2
 
 
 def test_identities_trivial_when_everything_open(example1):

@@ -29,11 +29,11 @@ from snpkit.engine import (
     choice_table,
     enumerate_spiking_vectors,
     is_valid_spiking_vector,
-    rule_status,
     run_trace,
     spiking_vector,
     step_no_delay,
 )
+from snpkit.formulas import rule_status, verify_delay_closed_form
 from snpkit.matrices import (
     IntMatrix,
     hadamard,
@@ -54,7 +54,6 @@ from snpkit.reachability import (
     reach_between,
     reachable_set,
     sum_vector_solutions,
-    verify_delay_closed_form,
 )
 
 C0 = (2, 1, 1)
@@ -812,6 +811,20 @@ def test_candidates_all_satisfy_the_linear_system(sys, k_max):
     for s in sum_vector_solutions(M, sys.initial, target, k_max):
         assert M.vecmat(s) == delta
         assert sum(s) <= k_max * sys.neuron_count
+
+
+def test_closed_form_masks_a_production_by_its_owner_at_k_plus_1():
+    # paper-trace: a fires its undelayed rule at 0 and its delayed rule at
+    # 1, closed as it fires, so RSt(1) masks the production of step 0
+    sys = parse_system(
+        "neuron a spikes=2\nneuron b spikes=0\n"
+        "rule a E=a^2 c=1 p=1 d=0\nrule a E=a c=1 p=1 d=1\nsyn a b\n"
+    )
+    trace = run_trace(sys, 5, policy="first", mode="paper-trace")
+    report = verify_delay_closed_form(sys, trace)
+    assert [e.predicted for e in report.entries] == [(0, 0), (0, 0)]
+    assert [e.predicted for e in report.entries] == nested_closed_form(sys, trace)
+    assert [e.actual for e in report.entries] == [(1, 1), (0, 1)]
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,10 +1,14 @@
 """The scripts under scripts/, each run as a subprocess.
 
-Every script exits 0 without a traceback, formula_report takes the
-gating identity at the states its trace really passed through, and
-replay_outputs prints one digest line per workload, pinned for seeds 1-3.
+Every script exits 0 without a traceback and prints the bytes pinned
+here, the scripts that take a system refuse the ones the CLI refuses,
+formula_report takes the gating identity at the states its trace really
+passed through, and replay_outputs prints one digest line per workload,
+pinned for seeds 1-3.
 """
 
+import hashlib
+import os
 import subprocess
 import sys
 
@@ -22,16 +26,45 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
+# The sha256 of each script's stdout: a change that moves any number or
+# word the scripts print fails here.  A change that alters the output on
+# purpose updates them.
 @pytest.mark.parametrize(
-    "argv",
-    [["derive_goldens.py"], ["formula_report.py"], ["interval_census.py", "--max-depth", "4"]],
+    "argv, sha",
+    [
+        (["derive_goldens.py"],
+         "9ae16b435af8e691cf4c2b6e02235d07e4a24f238fe4346197680958eca52b85"),
+        (["formula_report.py"],
+         "64b1bf39312d894b217503244159002bbc9e9feacacffccfc52407ea78de8a5b"),
+        (["interval_census.py", "--max-depth", "4"],
+         "2750c5f68ab981f5f6646da315a3f2159aca514fa2a1e00e7622350bc92621a3"),
+    ],
     ids=["derive_goldens", "formula_report", "interval_census"],
 )
-def test_script_exits_0_without_traceback(argv):
+def test_script_exits_0_without_traceback(argv, sha):
     proc = run_script(*argv)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stdout.strip()
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("script", ["formula_report.py", "interval_census.py"])
+@pytest.mark.parametrize("path", ["missing.snp", "tests/golden/bad.snp", "unparsed.snp"])
+def test_script_refuses_a_system_the_cli_refuses(tmp_path, script, path):
+    # exit 2, the error lines `snpkit simulate` prints, nothing on stdout
+    if path == "unparsed.snp":
+        (tmp_path / path).write_text("neuron a\n")
+        path = str(tmp_path / path)
+    proc = run_script(script, path)
+    cli = subprocess.run(
+        [sys.executable, "-m", "snpkit.cli", "simulate", path],
+        capture_output=True,
+        text=True,
+        cwd=str(REPO_ROOT),
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+    )
+    assert cli.returncode in (1, 2) and cli.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", cli.stderr)
 
 
 def _sections(out: str) -> dict[str, list[str]]:
