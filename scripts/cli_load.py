@@ -14,8 +14,6 @@ def load_valid(path: str):
         cli._require_valid(system, path)  # prints the rejected system's report lines
     except cli.UsageError as exc:
         print(f"snpkit: error: {exc}", file=sys.stderr)
-    except cli.SystemParseError as exc:
-        print(f"snpkit: error: {path}: {exc}", file=sys.stderr)
     except cli.ValidationFailure:
         pass
     else:

@@ -30,7 +30,7 @@ from .matrices import (
     struc_matrix,
     structural_report,
 )
-from .model import Record, SNPSystem, SystemParseError, ValidationReport, parse_system, validate
+from .model import Record, ReportEntry, SNPSystem, SystemParseError, parse_system, validate
 from .reachability import ReachabilityCertificate, is_reachable, reach_between
 
 __all__ = ["main"]
@@ -84,25 +84,26 @@ def _check_flags(args: argparse.Namespace) -> None:
 def _load(path: str) -> SNPSystem:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return parse_system(fh.read())
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise UsageError(
             f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from exc
-    return parse_system(text)  # SystemParseError carries the line number
+    except SystemParseError as exc:  # it carries the line number
+        raise UsageError(f"{path}: {exc}") from exc
 
 
-def _print_entries(path: str, report: ValidationReport, file=None) -> None:
-    for e in report.entries:
+def _print_entries(path: str, problems: tuple[ReportEntry, ...], file=None) -> None:
+    for e in problems:
         print(f"{path}: {e.severity} {e.code} at {e.location}: {e.message}", file=file)
 
 
 def _require_valid(sys: SNPSystem, path: str):
-    report = validate(sys)
-    if not report.ok:
-        _print_entries(path, report, file=_sys.stderr)
+    problems = validate(sys)
+    if problems:
+        _print_entries(path, problems, file=_sys.stderr)
         raise ValidationFailure(path)
 
 
@@ -170,15 +171,15 @@ def _emit_json(blob) -> None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     sys = _load(args.path)
-    report = validate(sys)
+    problems = validate(sys)
     if args.format == "json":
-        _emit_json({"ok": report.ok, "problems": report.entries})
+        _emit_json({"ok": not problems, "problems": problems})
     else:
-        if report.ok:
+        if not problems:
             print(f"{args.path}: ok "
                   f"({sys.neuron_count} neurons, {sys.rule_count} rules)")
-        _print_entries(args.path, report)
-    return 0 if report.ok else 1
+        _print_entries(args.path, problems)
+    return 1 if problems else 0
 
 
 def _matrix_blocks(sys: SNPSystem) -> list[tuple[str, IntMatrix | None]]:
@@ -323,11 +324,7 @@ def cmd_reach(args: argparse.Namespace) -> int:
         _emit_json(cert)
     else:
         _print_certificate_text(cert)
-    if cert.reachable:
-        return 0
-    # negative targets never get this far (the flag parser rejects them),
-    # but keep the mapping total: a malformed target is a usage error
-    return 2 if cert.verdict == "invalid-target" else 1
+    return 0 if cert.reachable else 1
 
 
 # --- argument plumbing -----------------------------------------------------------
@@ -403,9 +400,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except UsageError as exc:
         print(f"snpkit: error: {exc}", file=_sys.stderr)
-        return 2
-    except SystemParseError as exc:
-        print(f"snpkit: error: {args.path}: {exc}", file=_sys.stderr)
         return 2
     except ValidationFailure:
         return 1

@@ -303,10 +303,10 @@ class StepRecord(Record):
 
 
 class Trace(Record):
+    """A run is its records, k = 0..K: the last holds the state entering K."""
+
     mode: str
-    policy: str
     records: tuple[StepRecord, ...]
-    final_state: SimState
     halted: bool
 
     @property
@@ -375,16 +375,16 @@ def formula_step(
     return record, _state(sys, state.k + 1, *nxt, mode)
 
 
-def _terminal_record(sys: SNPSystem, state: SimState) -> StepRecord:
+def _terminal_record(sys: SNPSystem, k: int, config, dst, st) -> StepRecord:
     zero_n = (0,) * sys.rule_count
     zero_m = (0,) * sys.neuron_count
     return StepRecord(
-        k=state.k,
-        C=state.config,
+        k=k,
+        C=config,
         Sp=zero_n,
         Iv=zero_n,
-        St=state.st,
-        DSt=state.dst,
+        St=st,
+        DSt=dst,
         NG=zero_m,
         emitted=0,
     )
@@ -445,13 +445,10 @@ def run_trace(
         record, config, dst, st = _make_record(sys, k, config, dst, sp, mode, mats)
         records.append(record)
         k += 1
-    final = _state(sys, k, config, dst, st, mode)
-    records.append(_terminal_record(sys, final))
+    records.append(_terminal_record(sys, k, config, dst, st))
     return Trace(
         mode=mode,
-        policy=policy,
         records=tuple(records),
-        final_state=final,
         halted=halted,
     )
 
@@ -469,7 +466,6 @@ class TraceTree(Record, eq=False):
     nodes at step k, each root-to-leaf walk is one computation.  Like its
     nodes, a tree compares by identity."""
 
-    mode: str
     root: TreeNode
     depth: int
     levels: tuple[tuple[TreeNode, ...], ...]
@@ -522,7 +518,7 @@ def _run_tree(sys: SNPSystem, depth: int, mode: str) -> TraceTree:
                     child = below[nkey] = TreeNode(nxt, [])
                 node.children.append((r, child))
         level = below
-    return TraceTree(mode=mode, root=root, depth=depth, levels=tuple(levels))
+    return TraceTree(root=root, depth=depth, levels=tuple(levels))
 
 
 def achievable_first_intervals(tree: TraceTree) -> set[int]:

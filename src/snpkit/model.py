@@ -17,7 +17,7 @@ and vector downstream; all indices in the API are 0-based.
 Parsing enforces referential integrity (names declared before use,
 no duplicate synapses or directives).  Semantic constraints (guard
 exclusion for forgetting amounts, irreflexive synapses, c >= p, d = 0
-on forgetting rules) are checked by ``validate`` which returns a report
+on forgetting rules) are checked by ``validate`` which returns its problems
 instead of raising, so a CLI can show all problems at once.
 """
 
@@ -40,7 +40,6 @@ __all__ = [
     "make_rule",
     "SNPSystem",
     "ReportEntry",
-    "ValidationReport",
     "SystemParseError",
     "parse_system",
     "validate",
@@ -244,20 +243,9 @@ class ReportEntry(Record):
     location: str
 
 
-class ValidationReport(Record):
-    entries: tuple[ReportEntry, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not any(e.severity == "error" for e in self.entries)
-
-    @property
-    def codes(self) -> tuple[str, ...]:
-        return tuple(e.code for e in self.entries)
-
-
-def validate(sys: SNPSystem) -> ValidationReport:
-    """Check the semantic constraints; problems become report entries."""
+def validate(sys: SNPSystem) -> tuple[ReportEntry, ...]:
+    """Check the semantic constraints: one entry per problem, every one an
+    error, so the system is valid exactly when none is returned."""
     entries: list[ReportEntry] = []
     m = sys.neuron_count
 
@@ -320,7 +308,7 @@ def validate(sys: SNPSystem) -> ValidationReport:
         if idx is not None and not (0 <= idx < m):
             error(f"bad-{label}", f"{label} neuron index {idx} out of range", label)
 
-    return ValidationReport(tuple(entries))
+    return tuple(entries)
 
 
 def serialize_system(sys: SNPSystem) -> str:

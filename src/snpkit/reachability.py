@@ -203,7 +203,7 @@ class CandidateFailure(Record):
 
 
 class ReachabilityCertificate(Record):
-    verdict: str  # "reachable" | "not-reachable-within-bounds" | "invalid-target"
+    verdict: str  # "reachable" | "not-reachable-within-bounds": a bad query raises
     k: int | None = None
     configs: tuple[tuple[int, ...], ...] | None = None
     spiking_vectors: tuple[tuple[int, ...], ...] | None = None
@@ -315,7 +315,8 @@ def reach_between(
     Candidates are tried smallest-sum first; once a witness with k steps
     is found, any untried candidate with sum(s) > (k-1)*m cannot do
     better (each step fires at most m rules), so the iteration stops
-    with the smallest witnessed k."""
+    with the smallest witnessed k.  A configuration of the wrong length
+    or with a negative entry raises ValueError."""
     if sys.has_delays:
         raise ValueError(
             "reachability by sum vectors needs a delay-free system; "
@@ -324,8 +325,8 @@ def reach_between(
     m = sys.neuron_count
     if len(C_to) != m or len(C_from) != m:
         raise ValueError("configuration length does not match neuron count")
-    if any(x < 0 for x in C_to):
-        return ReachabilityCertificate(verdict="invalid-target")
+    if any(x < 0 for x in (*C_from, *C_to)):
+        raise ValueError("configuration entries must be nonnegative")
     M = spiking_matrix(sys)
     candidates = sum_vector_solutions(M, C_from, C_to, v_max)
     failures: list[CandidateFailure] = []

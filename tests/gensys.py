@@ -82,8 +82,8 @@ def make_random_system(
         out_neuron=rng.randrange(m) if with_out else None,
         in_neuron=None,
     )
-    report = validate(sys)
-    assert report.ok, report.entries
+    problems = validate(sys)
+    assert not problems, problems
     return sys
 
 

@@ -174,8 +174,14 @@ def test_first_trace_matches_head_of_listing(seed, steps, mode):
     trace = run_trace(sys, steps, policy="first", mode=mode)
     records, state, halted = _trace_by_listing(sys, steps, mode)
     assert trace.records[:-1] == records
-    assert trace.records[-1].C == state.config
-    assert (trace.final_state, trace.halted) == (state, halted)
+    assert _final(trace) == (state.k, state.config, state.st, state.dst)
+    assert trace.halted == halted
+
+
+def _final(trace):
+    """What the terminal record keeps of the state entering it: k, C, St, DSt."""
+    last = trace.records[-1]
+    return last.k, last.C, last.St, last.DSt
 
 
 SYSTEM_CACHES = {
@@ -205,8 +211,8 @@ def test_memoized_trace_matches_listing_loop(seed, steps, mode, policy):
     walk = random.Random(seed) if policy == "random" else None
     records, state, halted = _trace_by_listing(sys, steps, mode, walk)
     assert trace.records[:-1] == records
-    assert trace.records[-1] == _terminal_record(sys, state)
-    assert (trace.final_state, trace.halted) == (state, halted)
+    assert trace.records[-1] == _terminal_record(sys, state.k, state.config, state.dst, state.st)
+    assert trace.halted == halted
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -382,8 +388,8 @@ def test_delayed_trace_standard_mode(example3):
     # at k=3 sigma2 holds two spikes: only the forgetting rule fits
     assert recs[3].Sp == (0, 0, 1, 0)
     assert tr.halted
-    assert tr.final_state.k == 4
-    assert tr.final_state.pending == (None,) * 4
+    assert tr.records[-1].k == 4
+    assert tr.records[-1].DSt == (0,) * 4  # nothing left queued
 
 
 def test_random_policy_is_reproducible(example3):
@@ -828,8 +834,9 @@ def test_each_key_listed_once(text, mode, depth, recurs):
     "text", ["example1", "example3", DELAYED_RING], ids=["example1", "example3", "delayed-ring"]
 )
 def test_simstates_are_made_only_at_the_edge(text, mode):
-    """The engine steps plain (config, dst, st): a trace makes the initial
-    and the final SimState whatever its length, and a tree one per node."""
+    """The engine steps plain (config, dst, st): a trace makes one SimState,
+    its start, whatever its length (its end is its terminal record), and a
+    tree one per node."""
     if text.startswith("example"):
         text = (SYSTEMS_DIR / f"{text}.snp").read_text()
     sys = parse_system(text)
@@ -837,7 +844,7 @@ def test_simstates_are_made_only_at_the_edge(text, mode):
         with mock.patch("snpkit.engine.SimState", wraps=SimState) as made:
             trace = run_trace(sys, 12, policy=policy, mode=mode, seed=seed)
         assert len(trace.records) > 3
-        assert made.call_count == 2
+        assert made.call_count == 1
     with mock.patch("snpkit.engine.SimState", wraps=SimState) as made:
         tree = run_trace(sys, 12, policy="exhaustive", mode=mode)
     assert made.call_count == sum(len(level) for level in tree.levels)
@@ -916,7 +923,7 @@ def test_telescoping_along_no_delay_traces(seed, steps):
     total = (0,) * sys.rule_count
     for r in tr.records[:-1]:
         total = tuple(a + b for a, b in zip(total, r.Sp))
-    assert tr.final_state.config == tuple(
+    assert tr.records[-1].C == tuple(
         c0 + d for c0, d in zip(sys.initial, M.vecmat(total))
     )
 
@@ -1084,7 +1091,7 @@ def test_one_pass_bookkeeping_matches_per_mode_reference(seed, steps, mode, shap
     rng = random.Random(seed)
     sys = make_random_system(rng, max_rules=8, allow_delay=True, max_delay=5)
     sys = _delays_shaped(sys, rng, shape)
-    assert validate(sys).ok
+    assert validate(sys) == ()
     delayed = [r.d > 0 for r in sys.rules]
     if shape == "none":
         assert not any(delayed)
@@ -1212,7 +1219,7 @@ def test_delay_free_steps_are_the_plain_formula(seed, steps, mode):
             assert nxt.config == after.C
             _assert_plain_step(sys, M, state, record, nxt, mode)
             state = nxt
-        assert state == tr.final_state
+        assert _final(tr) == (state.k, state.config, state.st, state.dst)
     tree = run_trace(sys, min(steps, 4), policy="exhaustive", mode=mode)
     for level in tree.levels:
         for node in level:

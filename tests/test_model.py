@@ -36,7 +36,7 @@ def test_parse_first_golden_system(example1):
     ]
     assert s.rules[4].is_forgetting and not s.rules[0].is_forgetting
     assert not s.has_delays
-    assert validate(s).ok
+    assert validate(s) == ()
 
 
 def test_parse_delayed_golden_system(example3):
@@ -47,13 +47,13 @@ def test_parse_delayed_golden_system(example3):
     assert s.has_delays
     assert s.out_neuron is None
     assert s.syn == ((0, 1), (1, 0), (1, 2), (2, 1))
-    assert validate(s).ok
+    assert validate(s) == ()
 
 
 def test_parse_minimal_and_empty_rule_set():
     s = parse_system("neuron x spikes=0\n")
     assert s.neuron_count == 1 and s.rule_count == 0
-    assert validate(s).ok
+    assert validate(s) == ()
     assert parse_system("").neuron_count == 0
 
 
@@ -105,9 +105,7 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
 
 def test_self_synapse_parses_but_fails_validation():
     s = parse_system("neuron x spikes=1\nsyn x x\n")
-    report = validate(s)
-    assert not report.ok
-    assert "self-synapse" in report.codes
+    assert "self-synapse" in [e.code for e in validate(s)]
 
 
 def test_forgetting_exclusion_detected():
@@ -116,23 +114,22 @@ def test_forgetting_exclusion_detected():
         "rule x E=a*a c=1 p=1 d=0\n"  # guard accepts every n >= 1
         "rule x c=2 p=0 d=0\n"  # forgets a^2, but a^2 matches the guard above
     )
-    report = validate(parse_system(text))
-    assert "forgetting-exclusion" in report.codes
+    assert "forgetting-exclusion" in [e.code for e in validate(parse_system(text))]
 
 
 def test_forgetting_rule_shape_violations():
     base = "neuron x spikes=1\n"
     r = validate(parse_system(base + "rule x c=1 p=0 d=3\n"))
-    assert "forgetting-delay" in r.codes
+    assert "forgetting-delay" in [e.code for e in r]
     r = validate(parse_system(base + "rule x E=aa* c=1 p=0 d=0\n"))
-    assert "forgetting-guard" in r.codes
+    assert "forgetting-guard" in [e.code for e in r]
 
 
 def test_consume_produce_ordering():
     r = validate(parse_system("neuron x spikes=1\nrule x E=a c=1 p=2 d=0\n"))
-    assert "consume-lt-produce" in r.codes
+    assert "consume-lt-produce" in [e.code for e in r]
     r = validate(parse_system("neuron x spikes=1\nrule x E=a c=0 p=0 d=0\n"))
-    assert "consume-zero" in r.codes
+    assert "consume-zero" in [e.code for e in r]
 
 
 def test_validate_handcrafted_out_of_range():
@@ -144,7 +141,7 @@ def test_validate_handcrafted_out_of_range():
         out_neuron=7,
         in_neuron=None,
     )
-    codes = validate(s).codes
+    codes = [e.code for e in validate(s)]
     assert {"negative-spikes", "bad-owner", "bad-synapse", "bad-out"} <= set(codes)
 
 
@@ -160,7 +157,7 @@ def test_out_of_range_owner_is_only_reported(owner, forgetting_in):
         (make_rule(forgetting_in, None, 1, 0, 0), make_rule(owner, None, 1, 1, 0)),
         (),
     )
-    assert validate(s).codes == ("bad-owner",)
+    assert [e.code for e in validate(s)] == ["bad-owner"]
     assert s.rules_of == (((0,), ()) if forgetting_in == 0 else ((), (0,)))
 
 
@@ -234,5 +231,5 @@ def test_each_written_guard_is_parsed_once_per_file(monkeypatch):
 @settings(max_examples=150, deadline=None)
 def test_random_systems_validate_and_round_trip(seed):
     s = make_random_system(random.Random(seed), allow_delay=True)
-    assert validate(s).ok
+    assert validate(s) == ()
     assert parse_system(serialize_system(s)) == s

@@ -42,7 +42,7 @@ from snpkit.matrices import (
     vec_add,
     vec_sub,
 )
-from snpkit.model import parse_system
+from snpkit.model import SNPSystem, parse_system
 from snpkit.reachability import (
     CandidateFailure,
     ReachabilityCertificate,
@@ -583,10 +583,18 @@ def test_unreachable_target_202(example1):
     assert bfs_oracle(example1, (2, 0, 2), 8) == (False, None)
 
 
-def test_invalid_target(example1):
-    cert = is_reachable(example1, (2, -1, 2), k_max=2)
-    assert cert.verdict == "invalid-target"
-    assert cert.k is None
+@pytest.mark.parametrize("side", ["target", "start"])
+@pytest.mark.parametrize("entry", ["is_reachable", "reach_between"])
+def test_negative_configuration_is_refused(example1, entry, side):
+    """A spike count is never negative: like a configuration of the wrong
+    length, a negative one is refused, not answered with a verdict."""
+    start, target = ((-1, 1, 1), C0) if side == "start" else (C0, (2, -1, 2))
+    with pytest.raises(ValueError, match="nonnegative"):
+        if entry == "is_reachable":
+            fields = {n: getattr(example1, n) for n in example1._fields}
+            is_reachable(SNPSystem(**{**fields, "initial": start}), target, k_max=2)
+        else:
+            reach_between(example1, start, target, 2)
 
 
 def test_reach_rejects_delayed_system(example3):
