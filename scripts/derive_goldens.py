@@ -72,8 +72,8 @@ def main() -> None:
     print(f"halted: {tr_std.halted}")
 
     banner("status-masked closed form along the recorded trace")
-    for e in verify_delay_closed_form(delayed, tr).entries:
-        flag = "agrees" if e.agrees else "SPLITS"
+    for e in verify_delay_closed_form(delayed, tr):
+        flag = "agrees" if e.predicted == e.actual else "SPLITS"
         print(f"prefix {e.prefix}: predicted {e.predicted} actual {e.actual} {flag}")
 
     banner("reachability candidates, target (2,1,2), k_max=2")

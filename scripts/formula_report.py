@@ -41,23 +41,22 @@ def main() -> None:
             print(
                 f"k={cmp_.k}: actual {cmp_.actual_next} "
                 f"carry-status {cmp_.v2_carry} "
-                f"({'agrees' if cmp_.v2_carry_agrees else 'SPLITS'}) "
+                f"({'agrees' if cmp_.v2_carry == cmp_.actual_next else 'SPLITS'}) "
                 f"recorded-status {cmp_.v2_recorded} "
-                f"({'agrees' if cmp_.v2_recorded_agrees else 'SPLITS'})"
+                f"({'agrees' if cmp_.v2_recorded == cmp_.actual_next else 'SPLITS'})"
             )
 
         print(f"== closed form per prefix, mode={mode} ==")
-        for e in verify_delay_closed_form(sys_, trace).entries:
-            flag = "agrees" if e.agrees else "SPLITS"
+        for e in verify_delay_closed_form(sys_, trace):
+            flag = "agrees" if e.predicted == e.actual else "SPLITS"
             print(f"prefix {e.prefix}: predicted {e.predicted} "
                   f"actual {e.actual} {flag}")
 
         print(f"== gating identity at each recorded state, mode={mode} ==")
         state = initial_state(sys_)  # the states the trace passed through
         for rec in trace.records[:-1]:
-            report = check_step_identities(sys_, state, mode=mode)
-            for e in report.entries:
-                flag = "holds" if e.rst_identity_holds else "SPLITS"
+            for e in check_step_identities(sys_, state, mode=mode):
+                flag = "holds" if e.lhs == e.rhs else "SPLITS"
                 print(
                     f"k={rec.k} Sp={e.Sp}: receiver-gated {e.lhs} "
                     f"owner-gated {e.rhs} {flag}"

@@ -34,11 +34,12 @@ In both modes the recorded status of step k gates deliveries at step k,
 and rule selection at step k uses the carry status entering k (a neuron
 closing at k in paper-trace mode may still have been selected at k).
 One function, `_advance`, holds both conventions: the formula step, the
-operational oracle and the identity checks (in `formulas`) all take their
-recorded DSt, St, Iv and carried dst and st from it.  It walks only the delayed rules: an
-undelayed rule is never closed or queued, and fires as Iv = Sp.  Every
-trace and tree step is recorded by C + St (*) (Iv . PM) - Sp . CM: without
-delays the two modes coincide and it is the plain C(k+1) = C(k) + Sp(k) . M.
+operational oracle and the comparisons in `formulas` that step (the identity
+checks and the trace replay of v2) take their recorded DSt, St, Iv and carried
+dst and st from it.  It walks only the delayed rules: an undelayed rule
+is never closed or queued, and fires as Iv = Sp.  Every trace and tree
+step is recorded by C + St (*) (Iv . PM) - Sp . CM: without delays the two
+modes coincide and it is the plain C(k+1) = C(k) + Sp(k) . M.
 """
 
 from __future__ import annotations

@@ -68,18 +68,6 @@ class IntMatrix(Record):
                     out[j] += x * a
         return tuple(out)
 
-    def sub(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return IntMatrix(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.data, other.data)
-            ),
-        )
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.data)
 

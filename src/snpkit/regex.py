@@ -331,13 +331,10 @@ class SemilinearMembership(Record, uncompared=("state_count",)):
             return n in self.tail
         return self.cycle[(n - self.threshold) % self.period]
 
-    def finite_language(self) -> frozenset[int] | None:
-        """The accepted set if finite, else None."""
-        return None if any(self.cycle) else self.tail
-
     def is_singleton(self, n: int) -> bool:
-        """True iff the language is exactly {n}."""
-        return self.finite_language() == frozenset([n])
+        """True iff the language is exactly {n}: finite (no accepting
+        cycle state) with tail {n}."""
+        return not any(self.cycle) and self.tail == {n}
 
 
 # --- composing lassos ---------------------------------------------------------

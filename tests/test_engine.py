@@ -40,7 +40,6 @@ from snpkit.formulas import (
     formula_comparison_report,
     rule_status,
     step_with_delay_v2,
-    update_delay_state,
 )
 from snpkit.matrices import (
     consumption_matrix,
@@ -279,14 +278,14 @@ def test_step_no_delay_rejects_negative_result(example1):
 def test_update_delay_state_on_firing(example3):
     s0 = initial_state(example3)
     for mode in ("paper-trace", "standard"):
-        nxt = update_delay_state(example3, s0, (1, 0, 0, 1), mode)
+        nxt = operational_step(example3, s0, (1, 0, 0, 1), mode)
         assert nxt.k == 1
         assert nxt.dst == (0, 0, 0, 2)
         assert nxt.st == (1, 1, 0)
     # standard mode queues the delayed production for step 2
-    nxt = update_delay_state(example3, s0, (1, 0, 0, 1), "standard")
+    nxt = operational_step(example3, s0, (1, 0, 0, 1), "standard")
     assert nxt.pending == (None, None, None, (2, 1))
-    nxt = update_delay_state(example3, s0, (1, 0, 0, 1), "paper-trace")
+    nxt = operational_step(example3, s0, (1, 0, 0, 1), "paper-trace")
     assert nxt.pending == (None, None, None, None)
 
 
@@ -295,13 +294,13 @@ def test_update_delay_state_decrements_and_reopens(example3):
         k=2, config=(1, 0, 0), dst=(0, 0, 0, 1), st=(1, 1, 0),
         pending=(None,) * 4,
     )
-    nxt = update_delay_state(example3, mid, (1, 0, 0, 0), "paper-trace")
+    nxt = operational_step(example3, mid, (1, 0, 0, 0), "paper-trace")
     assert nxt.dst == (0, 0, 0, 0)
     assert nxt.st == (1, 1, 1)
 
 
 def test_update_delay_state_no_delays_all_open(example1):
-    nxt = update_delay_state(example1, initial_state(example1), (1, 0, 1, 1, 0))
+    nxt = operational_step(example1, initial_state(example1), (1, 0, 1, 1, 0))
     assert nxt.st == (1, 1, 1) and nxt.dst == (0, 0, 0, 0, 0)
 
 
@@ -313,7 +312,7 @@ def test_status_helpers(example3):
 
 def test_bad_mode_rejected(example3):
     with pytest.raises(ValueError, match="unknown mode"):
-        update_delay_state(example3, initial_state(example3), (0, 0, 0, 0), "fast")
+        operational_step(example3, initial_state(example3), (0, 0, 0, 0), "fast")
     with pytest.raises(ValueError, match="unknown mode"):
         run_trace(example3, 1, mode="bogus")
 
@@ -496,13 +495,11 @@ def test_identities_on_pinned_open_state(example3):
         k=2, config=(1, 0, 0), dst=(0, 0, 0, 1), st=(1, 1, 0),
         pending=(None,) * 4,
     )
-    rep = check_step_identities(example3, state, mode="paper-trace")
-    (entry,) = rep.entries
+    (entry,) = check_step_identities(example3, state, mode="paper-trace")
     assert entry.St == (1, 1, 0) and entry.RSt == (1, 1, 1, 0)
     assert entry.Iv == (1, 0, 0, 0)
     assert entry.lhs == entry.rhs == (-1, 1, 0)
-    assert entry.rst_identity_holds
-    assert entry.v1_eq_oracle and entry.v1_eq_v2
+    assert entry.v1_config == entry.oracle_config == entry.v2_config
 
 
 def test_identity_fails_when_gatings_differ(example3):
@@ -512,13 +509,10 @@ def test_identity_fails_when_gatings_differ(example3):
         k=1, config=(0, 1, 0), dst=(0, 0, 0, 2), st=(1, 1, 0),
         pending=(None,) * 4,
     )
-    rep = check_step_identities(example3, state, mode="paper-trace")
-    (entry,) = rep.entries
+    (entry,) = check_step_identities(example3, state, mode="paper-trace")
     assert entry.lhs == (1, -1, 0)
     assert entry.rhs == (1, -1, 1)
-    assert not entry.rst_identity_holds
-    assert entry.v1_eq_oracle  # the trace semantics itself is consistent
-    assert not rep.all_agree
+    assert entry.v1_config == entry.oracle_config  # the trace semantics itself is consistent
 
 
 def test_v2_masks_by_the_carry_status_entering_k_plus_1(example3):
@@ -529,31 +523,29 @@ def test_v2_masks_by_the_carry_status_entering_k_plus_1(example3):
         k=2, config=(1, 0, 0), dst=(0, 0, 0, 1), st=(1, 1, 0),
         pending=(None, None, None, (2, 1)),
     )
-    (entry,) = check_step_identities(example3, state).entries
+    (entry,) = check_step_identities(example3, state)
     assert entry.St == (1, 1, 0) and entry.Iv == (1, 0, 0, 1)
     assert entry.v1_config == entry.oracle_config == (0, 2, 0)
     assert entry.v2_config == (0, 2, -1)
-    assert not entry.v1_eq_v2
 
 
 def test_identities_trivial_when_everything_open(example1):
-    rep = check_step_identities(example1, initial_state(example1))
-    assert len(rep.entries) == 2
+    entries = check_step_identities(example1, initial_state(example1))
+    assert len(entries) == 2
     M = spiking_matrix(example1)
-    for entry in rep.entries:
-        assert entry.rst_identity_holds
-        assert entry.v1_eq_v2 and entry.v1_eq_oracle
+    for entry in entries:
+        assert entry.lhs == entry.rhs
+        assert entry.v1_config == entry.v2_config == entry.oracle_config
         assert entry.v1_config == step_no_delay((2, 1, 1), entry.Sp, M)
-    assert rep.all_agree
 
 
 def test_v2_status_reading_splits_on_lookahead_closure(example3):
     tr = run_trace(example3, 5, policy="first", mode="paper-trace")
     report = formula_comparison_report(example3, tr)
-    assert [c.v2_carry_agrees for c in report] == [True] * 5
+    assert [c.v2_carry == c.actual_next for c in report] == [True] * 5
     # the recorded-status reading breaks exactly where the next step
     # fires the delayed rule (closure recorded at firing time)
-    assert [c.v2_recorded_agrees for c in report] == [True, True, True, False, True]
+    assert [c.v2_recorded == c.actual_next for c in report] == [True, True, True, False, True]
     bad = report[3]
     assert bad.v2_recorded == (1, 0, 0)
     assert bad.actual_next == (1, 0, 1)
@@ -1056,8 +1048,10 @@ def _walk_against_reference(sys, mode, rng, steps):
             carry.st,
         )
         assert _advance(sys, state.k, state.dst, sp, mode) == expected
-        assert update_delay_state(sys, state, sp, mode) == carry
         state = formula_step(sys, state, sp, mode)[1]
+        assert (state.k, state.dst, state.st, state.pending) == (
+            carry.k, carry.dst, carry.st, carry.pending
+        )
 
 
 def _delays_shaped(sys, rng, shape):
@@ -1122,7 +1116,7 @@ def test_bookkeeping_is_blind_to_the_queue(seed):
             blanked = SimState(state.k, state.config, state.dst, state.st, blank)
             cands = enumerate_spiking_vectors(sys, state.config, state.st)
             sp = rng.choice(cands) if cands else (0,) * sys.rule_count
-            for step in (update_delay_state, operational_step, formula_step):
+            for step in (operational_step, formula_step):
                 assert step(sys, blanked, sp, mode) == step(sys, state, sp, mode)
             state = formula_step(sys, state, sp, mode)[1]
 

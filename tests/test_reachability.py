@@ -689,41 +689,38 @@ def test_bfs_rejects_delayed_system(example3):
 
 def test_closed_form_on_recorded_delay_trace(example3):
     trace = run_trace(example3, 5, policy="first", mode="paper-trace")
-    report = verify_delay_closed_form(example3, trace)
-    assert [e.agrees for e in report.entries] == [True, False, False, True, True]
-    assert [e.predicted for e in report.entries] == [
+    entries = verify_delay_closed_form(example3, trace)
+    assert [e.predicted == e.actual for e in entries] == [True, False, False, True, True]
+    assert [e.predicted for e in entries] == [
         (0, 1, 0),
         (1, 0, 1),
         (0, 1, 1),
         (1, 0, 1),
         (0, 1, 0),
     ]
-    assert [e.actual for e in report.entries] == [
+    assert [e.actual for e in entries] == [
         (0, 1, 0),
         (1, 0, 0),
         (0, 1, 0),
         (1, 0, 1),
         (0, 1, 0),
     ]
-    assert not report.all_agree
-    assert report.first_failure == 1
 
 
 def test_closed_form_standard_mode_also_reported(example3):
     # standard mode delivers delayed production, which the masked sum
     # does not model either; the report just records where they split
     trace = run_trace(example3, 4, policy="first", mode="standard")
-    report = verify_delay_closed_form(example3, trace)
-    assert len(report.entries) == len(trace.records) - 1
-    assert report.entries[0].agrees
+    entries = verify_delay_closed_form(example3, trace)
+    assert len(entries) == len(trace.records) - 1
+    assert entries[0].predicted == entries[0].actual
 
 
 def test_closed_form_delay_free_always_agrees(example1):
     trace = run_trace(example1, 6, policy="first", mode="standard")
-    report = verify_delay_closed_form(example1, trace)
-    assert report.all_agree
-    assert report.first_failure is None
-    assert len(report.entries) == 6
+    entries = verify_delay_closed_form(example1, trace)
+    assert all(e.predicted == e.actual for e in entries)
+    assert len(entries) == 6
 
 
 # --- properties ------------------------------------------------------------------
@@ -829,10 +826,10 @@ def test_closed_form_masks_a_production_by_its_owner_at_k_plus_1():
         "rule a E=a^2 c=1 p=1 d=0\nrule a E=a c=1 p=1 d=1\nsyn a b\n"
     )
     trace = run_trace(sys, 5, policy="first", mode="paper-trace")
-    report = verify_delay_closed_form(sys, trace)
-    assert [e.predicted for e in report.entries] == [(0, 0), (0, 0)]
-    assert [e.predicted for e in report.entries] == nested_closed_form(sys, trace)
-    assert [e.actual for e in report.entries] == [(1, 1), (0, 1)]
+    entries = verify_delay_closed_form(sys, trace)
+    assert [e.predicted for e in entries] == [(0, 0), (0, 0)]
+    assert [e.predicted for e in entries] == nested_closed_form(sys, trace)
+    assert [e.actual for e in entries] == [(1, 1), (0, 1)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -847,10 +844,10 @@ def test_closed_form_report_never_crashes_on_random_delay_traces(seed):
     trace = run_trace(
         sys, 4, policy="random", seed=seed, mode="standard"
     )
-    report = verify_delay_closed_form(sys, trace)
-    assert len(report.entries) == len(trace.records) - 1
+    entries = verify_delay_closed_form(sys, trace)
+    assert len(entries) == len(trace.records) - 1
     if not sys.has_delays:
-        assert report.all_agree
+        assert all(e.predicted == e.actual for e in entries)
 
 
 def nested_closed_form(sys, trace):
@@ -887,7 +884,6 @@ def test_one_pass_closed_form_matches_nested_sum(seed, mode):
         rng, max_neurons=4, max_rules=6, max_spikes=4, allow_delay=True
     )
     trace = run_trace(sys, 8, policy="random", seed=seed, mode=mode)
-    report = verify_delay_closed_form(sys, trace)
-    assert [e.predicted for e in report.entries] == nested_closed_form(sys, trace)
-    assert [e.actual for e in report.entries] == [r.C for r in trace.records[1:]]
-    assert all(e.agrees == (e.predicted == e.actual) for e in report.entries)
+    entries = verify_delay_closed_form(sys, trace)
+    assert [e.predicted for e in entries] == nested_closed_form(sys, trace)
+    assert [e.actual for e in entries] == [r.C for r in trace.records[1:]]

@@ -176,24 +176,26 @@ def test_odd_counts_language():
     assert m.period == 2
     # threshold is minimal: parity alone decides membership from n=0 on
     assert m.threshold == 0
-    assert m.finite_language() is None
+    assert any(m.cycle)  # an infinite language
 
 
 def test_singleton_and_finite_languages():
     m2 = compile_regex("a^2")
-    assert m2.finite_language() == frozenset([2])
+    assert not any(m2.cycle) and m2.tail == frozenset([2])
     assert m2.is_singleton(2)
     assert not m2.is_singleton(1)
     mu = compile_regex("a|a^3")
-    assert mu.finite_language() == frozenset([1, 3])
+    assert not any(mu.cycle) and mu.tail == frozenset([1, 3])
     assert not mu.is_singleton(1)
+    infinite = compile_regex("a|a^5a*")  # tail {1}, but 5, 6, ... accepted too
+    assert infinite.tail == frozenset([1]) and not infinite.is_singleton(1)
 
 
 def test_star_zero_accepts_everything_in_multiples():
     m = compile_regex("a^3*")
     assert [n for n in range(13) if m.matches(n)] == [0, 3, 6, 9, 12]
     m0 = compile_regex("a^0*")
-    assert m0.finite_language() == frozenset([0])
+    assert not any(m0.cycle) and m0.tail == frozenset([0])
 
 
 def test_threshold_and_period_are_minimal():
@@ -262,7 +264,7 @@ def test_literal_guard_compiles_without_nfa(monkeypatch):
     monkeypatch.setattr(regex, "_positions", no_nfa)
     m = compile_regex("a^3000000")
     assert (m.threshold, m.period, m.cycle, m.state_count) == (3000001, 1, (False,), 3000002)
-    assert m.tail == m.finite_language() == frozenset((3000000,))
+    assert m.tail == frozenset((3000000,))
     assert m.matches(3000000) and not m.matches(2999999) and not m.matches(3000001)
     # everything else composes lassos too: only nfa_matches takes the positions
     assert compile_regex("a^3*") == compile_regex("(a^6)*|a^3(a^6)*")
