@@ -10,8 +10,8 @@ open neuron's applicable rules).  run_trace looks the applicable rules
 up by spike count, in a lookup it keeps for that run only; every other
 caller walks the guards.  The "random" policy lists the product of its
 step's own table.  The tree lists that of each state it expands, and
-expands a state once per run: met again at a later step, its first
-expansion is re-stamped with the new step (_run_tree).
+expands a state once per run: met again at a later step, it reuses the
+first expansion's edges, each an emission and a child (_run_tree).
 
 Two delay semantics are provided, selected by `mode`:
 
@@ -322,12 +322,8 @@ class Trace(Record):
         )
 
     @property
-    def emission_steps(self) -> tuple[int, ...]:
-        return tuple(r.k for r in self.records if r.emitted > 0)
-
-    @property
     def first_interval(self) -> int | None:
-        steps = self.emission_steps
+        steps = [r.k for r in self.records if r.emitted > 0]
         if len(steps) < 2:
             return None
         return steps[1] - steps[0]
@@ -456,10 +452,11 @@ def run_trace(
 
 class TreeNode(Record, eq=False):
     """A distinct state at its step, shared by every path reaching it.  Made
-    on first reach; its children are appended as its state is expanded."""
+    on first reach; its children are appended as its state is expanded,
+    each with the spikes its step emits."""
 
     state: SimState
-    children: list[tuple[StepRecord, "TreeNode"]]
+    children: list[tuple[int, "TreeNode"]]
 
 
 class TraceTree(Record, eq=False):
@@ -479,7 +476,7 @@ class TraceTree(Record, eq=False):
         paths: dict[TreeNode, int] = {}
         for level in reversed(self.levels):
             for node in level:
-                paths[node] = sum(paths[c] for _r, c in node.children) or 1
+                paths[node] = sum(paths[c] for _e, c in node.children) or 1
         return paths[self.root]
 
 
@@ -488,9 +485,9 @@ def _run_tree(sys: SNPSystem, depth: int, mode: str) -> TraceTree:
     of its distinct states to their nodes in discovery order.  st follows
     from dst, so states with equal keys expand alike at any step, but for
     paper-trace's deferral at k = 0.  Each key is expanded once per run, its
-    (record, successor key, successor st) edges kept; a later node with that
-    key at step k reuses them, each record remade with k.  A node's state is
-    made once, on its first reach, at its own step."""
+    (emitted, successor key, successor st) edges kept; a later node with that
+    key reuses them as they are.  A node's state is made once, on its first
+    reach, at its own step."""
     mats = _step_matrices(sys)
     idle = [(0,) * sys.rule_count]
     edges = {}  # key -> its edges, as made at the step where it was first met
@@ -509,15 +506,13 @@ def _run_tree(sys: SNPSystem, depth: int, mode: str) -> TraceTree:
                 made = [] if _is_halted(node.state.st, sps) else [
                     _make_record(sys, k, config, dst, sp, mode, mats) for sp in sps or idle
                 ]
-                out = edges[key] = [(r, (c, d, False), s) for r, c, d, s in made]
-            for r, nkey, nst in out:
-                if r.k != k:
-                    r = StepRecord(k, r.C, r.Sp, r.Iv, r.St, r.DSt, r.NG, r.emitted)
+                out = edges[key] = [(r.emitted, (c, d, False), s) for r, c, d, s in made]
+            for emitted, nkey, nst in out:
                 child = below.get(nkey)
                 if child is None:
                     nxt = _state(sys, k + 1, nkey[0], nkey[1], nst, mode)
                     child = below[nkey] = TreeNode(nxt, [])
-                node.children.append((r, child))
+                node.children.append((emitted, child))
         level = below
     return TraceTree(root=root, depth=depth, levels=tuple(levels))
 
@@ -525,18 +520,19 @@ def _run_tree(sys: SNPSystem, depth: int, mode: str) -> TraceTree:
 def achievable_first_intervals(tree: TraceTree) -> set[int]:
     """Intervals between the first two emissions over every path of the tree,
     in one pass that carries to each node the steps at which the paths into
-    it first emitted (None: not yet); a path leaves at its second emission."""
+    it first emitted (None: not yet); a path leaves at its second emission.
+    An edge out of level k is step k."""
     out: set[int] = set()
     firsts: dict[TreeNode, set] = {tree.root: {None}}
-    for level in tree.levels:
+    for k, level in enumerate(tree.levels):
         for node in level:
             here = firsts.pop(node)
-            for record, child in node.children:
+            for emitted, child in node.children:
                 into = firsts.setdefault(child, set())
-                if record.emitted <= 0:
+                if emitted <= 0:
                     into |= here
                     continue
-                out.update(record.k - first for first in here if first is not None)
+                out.update(k - first for first in here if first is not None)
                 if None in here:
-                    into.add(record.k)
+                    into.add(k)
     return out

@@ -18,6 +18,7 @@ from snpkit.cli import json_default, main
 from snpkit.engine import (
     MODES,
     SimState,
+    StepRecord,
     Trace,
     TraceTree,
     TreeNode,
@@ -416,7 +417,7 @@ def test_first_policy_loop_and_spike_train(example1):
     assert tr.configs[1] == (2, 1, 2)
     assert tr.configs[2] == (2, 1, 2)
     assert tr.spike_train == "1000000000"
-    assert tr.emission_steps == (0,)
+    assert [r.k for r in tr.records if r.emitted > 0] == [0]
     assert tr.first_interval is None
 
 
@@ -564,8 +565,9 @@ def test_exhaustive_tree_shape(example1):
         assert len({node.state for node in level}) == len(level)  # merged
         for node in level:
             assert node.state.k == k
-            for r, _child in node.children:
-                assert sum(r.Sp) >= 1  # no idle steps in a delay-free system
+            sps = enumerate_spiking_vectors(example1, node.state.config, node.state.st)
+            # one edge per listed vector: no idle steps in a delay-free system
+            assert len(node.children) == (len(sps) if k < 3 else 0)
     assert tree.leaf_count() >= 2
 
 
@@ -647,9 +649,10 @@ def test_tree_root_walk_and_levels_agree(seed, depth, mode):
             sps = enumerate_spiking_vectors(sys, state.config, state.st)
             halted = not sps and all(state.st) and all(q is None for q in state.pending)
             expected = [] if halted or state.k == depth else sps or [idle]
-            assert [r.Sp for r, _child in node.children] == expected
-            for r, child in node.children:
-                assert (r, child.state) == formula_step(sys, state, r.Sp, mode)
+            stepped = [formula_step(sys, state, sp, mode) for sp in expected]
+            assert [(e, c.state) for e, c in node.children] == [
+                (rec.emitted, nxt) for rec, nxt in stepped
+            ]
 
 
 def test_exhaustive_depth_not_bounded_by_recursion_limit(capsys, tmp_path):
@@ -712,7 +715,7 @@ def _tree_by_step(sys, depth, mode):
                 record, nxt = formula_step(sys, state, sp, mode)
                 if nxt not in below:
                     below[nxt] = TreeNode(nxt, [])
-                node.children.append((record, below[nxt]))
+                node.children.append((record.emitted, below[nxt]))
         level = below
     return levels
 
@@ -740,8 +743,8 @@ def _counted_tree(sys, depth, mode):
 
 def _assert_same_levels(tree, ref):
     """Equal states in the same order on every level, and each node's
-    children the same records (compared field by field, k included) leading
-    to the same positions of the level below."""
+    children the same emissions leading to the same positions of the level
+    below."""
     assert [[n.state for n in level] for level in tree.levels] == [
         [n.state for n in level] for level in ref
     ]
@@ -749,8 +752,8 @@ def _assert_same_levels(tree, ref):
     ref_at = {node: i for level in ref for i, node in enumerate(level)}
     for level, ref_level in zip(tree.levels, ref):
         for node, ref_node in zip(level, ref_level):
-            assert [(r, at[c]) for r, c in node.children] == [
-                (r, ref_at[c]) for r, c in ref_node.children
+            assert [(e, at[c]) for e, c in node.children] == [
+                (e, ref_at[c]) for e, c in ref_node.children
             ]
 
 
@@ -828,7 +831,8 @@ def test_each_key_listed_once(text, mode, depth, recurs):
 def test_simstates_are_made_only_at_the_edge(text, mode):
     """The engine steps plain (config, dst, st): a trace makes one SimState,
     its start, whatever its length (its end is its terminal record), and a
-    tree one per node."""
+    tree one per node.  A tree keeps no StepRecord: it makes one per edge of
+    each distinct key it expands, and an edge is its emission and its child."""
     if text.startswith("example"):
         text = (SYSTEMS_DIR / f"{text}.snp").read_text()
     sys = parse_system(text)
@@ -840,6 +844,15 @@ def test_simstates_are_made_only_at_the_edge(text, mode):
     with mock.patch("snpkit.engine.SimState", wraps=SimState) as made:
         tree = run_trace(sys, 12, policy="exhaustive", mode=mode)
     assert made.call_count == sum(len(level) for level in tree.levels)
+    with mock.patch("snpkit.engine.StepRecord", wraps=StepRecord) as made:
+        tree = run_trace(sys, 12, policy="exhaustive", mode=mode)
+    first_edges = {}  # each expanded key's edges, as its first node holds them
+    for level in tree.levels[:12]:
+        for node in level:
+            first_edges.setdefault(_k_free(node.state), len(node.children))
+    assert made.call_count == sum(first_edges.values())
+    edges = [edge for level in tree.levels for node in level for edge in node.children]
+    assert all(type(emitted) is int for emitted, _child in edges)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -1214,8 +1227,16 @@ def test_delay_free_steps_are_the_plain_formula(seed, steps, mode):
             _assert_plain_step(sys, M, state, record, nxt, mode)
             state = nxt
         assert _final(tr) == (state.k, state.config, state.st, state.dst)
-    tree = run_trace(sys, min(steps, 4), policy="exhaustive", mode=mode)
-    for level in tree.levels:
+    depth = min(steps, 4)
+    tree = run_trace(sys, depth, policy="exhaustive", mode=mode)
+    for k, level in enumerate(tree.levels):
         for node in level:
-            for record, child in node.children:
-                _assert_plain_step(sys, M, node.state, record, child.state, mode)
+            C = node.state.config
+            sps = enumerate_spiking_vectors(sys, C, node.state.st) if k < depth else []
+            assert [c.state.config for _e, c in node.children] == [
+                step_no_delay(C, sp, M) for sp in sps
+            ]
+            stepped = [formula_step(sys, node.state, sp, mode) for sp in sps]
+            assert [(e, c.state) for e, c in node.children] == [
+                (rec.emitted, nxt) for rec, nxt in stepped
+            ]
