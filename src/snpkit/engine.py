@@ -38,8 +38,9 @@ operational oracle and the comparisons in `formulas` that step (the identity
 checks and the trace replay of v2) take their recorded DSt, St, Iv and carried
 dst and st from it.  It walks only the delayed rules: an undelayed rule
 is never closed or queued, and fires as Iv = Sp.  Every trace and tree
-step is recorded by C + St (*) (Iv . PM) - Sp . CM: without delays the two
-modes coincide and it is the plain C(k+1) = C(k) + Sp(k) . M.
+step is computed by C + St (*) (Iv . PM) - Sp . CM (_step): without delays
+the two modes coincide and it is the plain C(k+1) = C(k) + Sp(k) . M.  A
+trace records its steps; a tree keeps only each step's emission and successor.
 """
 
 from __future__ import annotations
@@ -332,7 +333,7 @@ class Trace(Record):
 def _step_matrices(sys: SNPSystem):
     """PM, CM and the (rule, amount) pairs of the nonzero environment
     emissions (the augmented matrix's last column; none without an out
-    neuron): what _make_record reads."""
+    neuron): what _step reads to compute a step and its emission."""
     if sys.out_neuron is None:
         env = ()
     else:
@@ -341,24 +342,22 @@ def _step_matrices(sys: SNPSystem):
     return production_matrix(sys), consumption_matrix(sys), env
 
 
-def _make_record(sys: SNPSystem, k: int, C, dst, Sp: tuple[int, ...], mode: str, matrices):
-    """Execute step k from (C, dst) by the receiver-gated formula and record
-    it; returns the record and the config, dst and st entering k + 1.
-    Without delays Iv = Sp and every neuron is open: C + Sp . M."""
+def _step(sys: SNPSystem, k: int, C, dst, Sp: tuple[int, ...], mode: str, matrices):
+    """Execute step k from (C, dst) by the receiver-gated formula; returns
+    its recorded Iv, St and DSt, its emission, and the config, dst and st
+    entering k + 1.  Without delays Iv = Sp and every neuron is open:
+    C + Sp . M."""
     PM, CM, env = matrices
     rec_dst, st_rec, iv, dst_next, st_next = _advance(sys, k, dst, Sp, mode)
     c_next = step_with_delay_v1(C, Sp, iv, st_rec, PM, CM)
-    record = StepRecord(
-        k=k,
-        C=C,
-        Sp=Sp,
-        Iv=iv,
-        St=st_rec,
-        DSt=rec_dst,
-        NG=vec_sub(c_next, C),
-        emitted=sum(e * iv[i] for i, e in env),
-    )
-    return record, c_next, dst_next, st_next
+    emitted = sum(e * iv[i] for i, e in env)
+    return iv, st_rec, rec_dst, emitted, c_next, dst_next, st_next
+
+
+def _record(k: int, C, Sp: tuple[int, ...], step) -> StepRecord:
+    """The record of step k from C by Sp, read off its _step result."""
+    iv, st, dst, emitted, c_next = step[:5]
+    return StepRecord(k, C, Sp, iv, st, dst, vec_sub(c_next, C), emitted)
 
 
 def formula_step(
@@ -367,24 +366,15 @@ def formula_step(
     """One formula-based step (record + next state) for external callers;
     run_trace uses the same machinery with the matrices built once."""
     _check_mode(mode)
-    mats = _step_matrices(sys)
-    record, *nxt = _make_record(sys, state.k, state.config, state.dst, Sp, mode, mats)
-    return record, _state(sys, state.k + 1, *nxt, mode)
+    k, C = state.k, state.config
+    step = _step(sys, k, C, state.dst, Sp, mode, _step_matrices(sys))
+    return _record(k, C, Sp, step), _state(sys, k + 1, *step[4:], mode)
 
 
 def _terminal_record(sys: SNPSystem, k: int, config, dst, st) -> StepRecord:
-    zero_n = (0,) * sys.rule_count
-    zero_m = (0,) * sys.neuron_count
-    return StepRecord(
-        k=k,
-        C=config,
-        Sp=zero_n,
-        Iv=zero_n,
-        St=st,
-        DSt=dst,
-        NG=zero_m,
-        emitted=0,
-    )
+    """The record of the state entering K: nothing fires, so nothing changes."""
+    zero = (0,) * sys.rule_count
+    return _record(k, config, zero, (zero, st, dst, 0, config))
 
 
 def _is_halted(st: tuple[int, ...], choices: list[tuple[int, ...]]) -> bool:
@@ -439,8 +429,9 @@ def run_trace(
             sp = rng.choice(table_vectors(sys, table))
         else:  # every entry's head; an empty table idles while delays count down
             sp = spiking_vector(sys, (rules[0] for rules in table))
-        record, config, dst, st = _make_record(sys, k, config, dst, sp, mode, mats)
-        records.append(record)
+        step = _step(sys, k, config, dst, sp, mode, mats)
+        records.append(_record(k, config, sp, step))
+        config, dst, st = step[4:]
         k += 1
     records.append(_terminal_record(sys, k, config, dst, st))
     return Trace(
@@ -484,10 +475,10 @@ def _run_tree(sys: SNPSystem, depth: int, mode: str) -> TraceTree:
     """Expand level by level.  A level maps the keys (config, dst, k == 0)
     of its distinct states to their nodes in discovery order.  st follows
     from dst, so states with equal keys expand alike at any step, but for
-    paper-trace's deferral at k = 0.  Each key is expanded once per run, its
-    (emitted, successor key, successor st) edges kept; a later node with that
-    key reuses them as they are.  A node's state is made once, on its first
-    reach, at its own step."""
+    paper-trace's deferral at k = 0.  Each key is expanded once per run, by
+    _step alone: its (emitted, successor key, successor st) edges are kept,
+    and no step is recorded; a later node with that key reuses them as they
+    are.  A node's state is made once, on its first reach, at its own step."""
     mats = _step_matrices(sys)
     idle = [(0,) * sys.rule_count]
     edges = {}  # key -> its edges, as made at the step where it was first met
@@ -504,9 +495,9 @@ def _run_tree(sys: SNPSystem, depth: int, mode: str) -> TraceTree:
                 config, dst, _first = key
                 sps = enumerate_spiking_vectors(sys, config, node.state.st)
                 made = [] if _is_halted(node.state.st, sps) else [
-                    _make_record(sys, k, config, dst, sp, mode, mats) for sp in sps or idle
+                    _step(sys, k, config, dst, sp, mode, mats) for sp in sps or idle
                 ]
-                out = edges[key] = [(r.emitted, (c, d, False), s) for r, c, d, s in made]
+                out = edges[key] = [(e, (c, d, False), s) for *_rec, e, c, d, s in made]
             for emitted, nkey, nst in out:
                 child = below.get(nkey)
                 if child is None:

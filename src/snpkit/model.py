@@ -77,7 +77,8 @@ def make_rule(
     compiled guard (parse_system keeps one per file): each written source is
     parsed once, and equal canonical source means an equal language and
     lasso, so each distinct guard is compiled once."""
-    written = guard_src if guard_src is not None else "a" if c == 1 else f"a^{c}"
+    # no E=: exactly a^c, which for c = 0 is a^0* (the empty word alone)
+    written = guard_src if guard_src is not None else {0: "a^0*", 1: "a"}.get(c, f"a^{c}")
     guards = {} if guards is None else guards
     if written not in guards:
         ast = parse_regex(written)

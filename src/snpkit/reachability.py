@@ -14,7 +14,8 @@ into k valid spiking vectors applied in sequence.  The pipeline:
      the search and BFS depth gives the fewest steps for that s); each
      residual keeps the configuration it was reached at, one step from
      its parent's, and a witness's configurations and a refused
-     candidate's table are both read from that search;
+     candidate's table are both read from that search (the table makes
+     its first valid vector once, where its walk stops);
   3. cross-checkable against bfs_oracle, a direct breadth-first
      exploration of the computation tree that ignores the algebra: it
      steps by the operational simulator's per-synapse delivery, never
@@ -216,27 +217,33 @@ class ReachabilityCertificate(Record):
         return self.verdict == "reachable"
 
 
-def _greedy_table(reached: dict, s_bar: tuple[int, ...]) -> tuple[tuple[TrialRow, ...], str]:
+def _greedy_table(
+    sys: SNPSystem, reached: dict, s_bar: tuple[int, ...]
+) -> tuple[tuple[TrialRow, ...], str]:
     """Single-path walk recording why this candidate gets stuck: prefer
     any choice that keeps the residual nonnegative, otherwise show the
     first violating subtraction.  The walk is one path of the breadth-first
     search, which failed and so expanded every residual it reached: each
-    step is read from the search's map, and none empties the residual."""
+    step is read from the search's map, and none empties the residual.
+    Where it stops, the first valid vector (each entry's first rule) shows
+    the violation."""
     residual = s_bar
     rows: list[TrialRow] = []
     while True:
-        _prev, _sp, config, usable, valid = reached[residual]
+        _prev, _sp, config, usable = reached[residual]
         if usable is None:
             break
         residual = vec_sub(residual, usable)
         rows.append(TrialRow(len(rows), residual, usable, reached[residual][2], None))
-    if valid is None or all(x in (0, 1) for x in residual):
+    choices = choice_table(sys, config, (1,) * sys.neuron_count)
+    if not choices or all(x in (0, 1) for x in residual):
         # nothing fires, or the leftover is itself one spiking vector's
         # worth but cannot fire at this configuration
         reason = "not a valid spiking vector"
         rows.append(TrialRow(len(rows), residual, None, config, reason))
     else:
         reason = "not a valid sum vector"
+        valid = spiking_vector(sys, (rules[0] for rules in choices))
         rows.append(TrialRow(len(rows), vec_sub(residual, valid), valid, config, reason))
     return tuple(rows), reason
 
@@ -259,7 +266,7 @@ def decompose_sum_vector(
     start = tuple(s_bar)
     zero = (0,) * sys.rule_count
     # residual -> [parent residual, Sp taken from it, configuration, then,
-    # once expanded, its first usable and first valid spiking vector]
+    # once expanded, its first usable spiking vector (None if it has none)]
     reached: dict[tuple[int, ...], list] = {start: [None, None, tuple(C0)]}
     frontier = [start]
     while frontier:
@@ -285,15 +292,14 @@ def decompose_sum_vector(
             choices = choice_table(sys, entry[2], ones)
             # usable: only rules the residual still holds (none if an entry empties)
             usable = table_vectors(sys, [[i for i in rules if residual[i]] for rules in choices])
-            head = spiking_vector(sys, (rules[0] for rules in choices)) if choices else None
-            entry += [usable[0] if usable else None, head]
+            entry.append(usable[0] if usable else None)
             for sp in usable:
                 child = vec_sub(residual, sp)
                 if child not in reached:
                     reached[child] = [residual, sp, step_no_delay(entry[2], sp, M)]
                     nxt.append(child)
         frontier = nxt
-    table, reason = _greedy_table(reached, start)
+    table, reason = _greedy_table(sys, reached, start)
     return ReachabilityCertificate(
         verdict="not-reachable-within-bounds",
         failures=(CandidateFailure(start, reason, table),),

@@ -194,6 +194,18 @@ def test_invalid_system_blocks_other_commands(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("guard", ["", "E=a^0* "], ids=["no-guard", "a0-star"])
+def test_consume_zero_reported_with_or_without_guard(capsys, tmp_path, guard):
+    # a missing E= defaults to a^c, so c = 0 reaches validate's consume-zero
+    # check instead of failing to parse a guard the file never wrote
+    bad = tmp_path / "zero.snp"
+    bad.write_text(f"neuron a spikes=1\nrule a {guard}c=0 p=0 d=0\n")
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert code == 1
+    assert "consume-zero" in out
+    assert err == ""
+
+
 # --- matrices -------------------------------------------------------------------
 
 MATRICES_TEXT = """\

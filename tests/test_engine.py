@@ -831,28 +831,25 @@ def test_each_key_listed_once(text, mode, depth, recurs):
 def test_simstates_are_made_only_at_the_edge(text, mode):
     """The engine steps plain (config, dst, st): a trace makes one SimState,
     its start, whatever its length (its end is its terminal record), and a
-    tree one per node.  A tree keeps no StepRecord: it makes one per edge of
-    each distinct key it expands, and an edge is its emission and its child."""
+    tree one per node.  Only a trace records its steps, one StepRecord per
+    time point; a tree makes none, and an edge is its emission and its child."""
     if text.startswith("example"):
         text = (SYSTEMS_DIR / f"{text}.snp").read_text()
     sys = parse_system(text)
     for policy, seed in (("first", None), ("random", 5)):
         with mock.patch("snpkit.engine.SimState", wraps=SimState) as made:
-            trace = run_trace(sys, 12, policy=policy, mode=mode, seed=seed)
+            with mock.patch("snpkit.engine.StepRecord", wraps=StepRecord) as recorded:
+                trace = run_trace(sys, 12, policy=policy, mode=mode, seed=seed)
         assert len(trace.records) > 3
         assert made.call_count == 1
+        assert recorded.call_count == len(trace.records)
     with mock.patch("snpkit.engine.SimState", wraps=SimState) as made:
-        tree = run_trace(sys, 12, policy="exhaustive", mode=mode)
+        with mock.patch("snpkit.engine.StepRecord", wraps=StepRecord) as recorded:
+            tree = run_trace(sys, 12, policy="exhaustive", mode=mode)
     assert made.call_count == sum(len(level) for level in tree.levels)
-    with mock.patch("snpkit.engine.StepRecord", wraps=StepRecord) as made:
-        tree = run_trace(sys, 12, policy="exhaustive", mode=mode)
-    first_edges = {}  # each expanded key's edges, as its first node holds them
-    for level in tree.levels[:12]:
-        for node in level:
-            first_edges.setdefault(_k_free(node.state), len(node.children))
-    assert made.call_count == sum(first_edges.values())
+    assert recorded.call_count == 0
     edges = [edge for level in tree.levels for node in level for edge in node.children]
-    assert all(type(emitted) is int for emitted, _child in edges)
+    assert edges and all(type(emitted) is int for emitted, _child in edges)
 
 
 @pytest.mark.parametrize("enabled", [True, False])

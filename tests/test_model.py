@@ -132,6 +132,18 @@ def test_consume_produce_ordering():
     assert "consume-zero" in [e.code for e in r]
 
 
+def test_consume_zero_without_guard_defaults_to_a0_star():
+    """No E= means exactly a^c, which for c = 0 is a^0*: the rule parses,
+    validate reports consume-zero, and the system round-trips."""
+    s = parse_system("neuron x spikes=1\nrule x c=0 p=0 d=0\n")
+    assert s.rules[0].guard_src == "a^0*"
+    assert s.rules[0].guard.is_singleton(0)
+    assert s == parse_system("neuron x spikes=1\nrule x E=a^0* c=0 p=0 d=0\n")
+    assert "consume-zero" in [e.code for e in validate(s)]
+    out = serialize_system(s)
+    assert parse_system(out) == s and serialize_system(parse_system(out)) == out
+
+
 def test_validate_handcrafted_out_of_range():
     s = SNPSystem(
         neuron_names=("x",),

@@ -621,6 +621,24 @@ def test_reach_between_unreachable(example1):
     assert cert.verdict == "not-reachable-within-bounds"
 
 
+@pytest.mark.parametrize(
+    "start, target, v_max",
+    [(C0, (2, 0, 2), 6), ((2, 1, 2), (2, 0, 2), 2)],
+    ids=["from-initial", "between"],
+)
+def test_refusal_finds_its_stop_vector_once(example1, start, target, v_max):
+    """The search keeps each residual's first usable vector only; a refused
+    candidate's table makes its first valid vector once, where its walk
+    stops, and not once per residual the search expanded."""
+    with mock.patch.object(reachability, "spiking_vector", wraps=spiking_vector) as made:
+        cert = reach_between(example1, start, target, v_max)
+    assert cert.verdict == "not-reachable-within-bounds"
+    tables = [f.table for f in cert.failures if f.table]
+    assert tables
+    assert made.call_count <= len(tables)
+    assert made.call_count == sum(t[-1].Sp is not None for t in tables)
+
+
 def test_initial_config_reachable_in_zero_steps(example1):
     cert = is_reachable(example1, C0, k_max=3)
     assert cert.verdict == "reachable"
