@@ -14,11 +14,10 @@ requires an explicit seed for exactly this reason).
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys as _sys
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii  # the C encoder json.encoder binds
+from types import SimpleNamespace
 
 from .engine import MODES, POLICIES, Trace, TraceTree, achievable_first_intervals, run_trace
 from .matrices import (
@@ -61,9 +60,10 @@ def _config_flag(text: str, flag: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_flags(args: argparse.Namespace) -> None:
-    """The flag rules argparse cannot express; parses --target and --from
-    in place.  Runs before the system file is read."""
+def _check_flags(args: SimpleNamespace) -> None:
+    """The flag rules the flag table cannot express; parses --target and
+    --from in place.  Runs before the system file is read, on the namespace
+    of either reader of argv."""
     if args.subcommand == "reach":
         args.target = _config_flag(args.target, "target")
         if args.from_config is not None:
@@ -169,7 +169,7 @@ def _emit_json(blob) -> None:
 # --- subcommands ---------------------------------------------------------------
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: SimpleNamespace) -> int:
     sys = _load(args.path)
     problems = validate(sys)
     if args.format == "json":
@@ -192,7 +192,7 @@ def _matrix_blocks(sys: SNPSystem) -> list[tuple[str, IntMatrix | None]]:
     ]
 
 
-def cmd_matrices(args: argparse.Namespace) -> int:
+def cmd_matrices(args: SimpleNamespace) -> int:
     sys = _load(args.path)
     _require_valid(sys, args.path)
     blocks = _matrix_blocks(sys)
@@ -232,7 +232,7 @@ def _tree_summary(tree: TraceTree):
     }
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: SimpleNamespace) -> int:
     sys = _load(args.path)
     _require_valid(sys, args.path)
     result = run_trace(
@@ -257,13 +257,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
         return 0
     if args.format == "json":
+        import json  # its C encoder, for this one compact line per record
+
         print("\n".join(json.dumps(r, default=json_default) for r in result.records))
     else:
         _print_trace_text(result)
     return 0
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: SimpleNamespace) -> int:
     sys = _load(args.path)
     _require_valid(sys, args.path)
     rep = structural_report(sys)
@@ -302,7 +304,7 @@ def _print_certificate_text(cert: ReachabilityCertificate) -> None:
             )
 
 
-def cmd_reach(args: argparse.Namespace) -> int:
+def cmd_reach(args: SimpleNamespace) -> int:
     sys = _load(args.path)
     _require_valid(sys, args.path)
     for flag, config in (("target", args.target), ("from", args.from_config)):
@@ -329,40 +331,81 @@ def cmd_reach(args: argparse.Namespace) -> int:
 
 # --- argument plumbing -----------------------------------------------------------
 
+_SHARED = (  # every subcommand's options: (flag, argparse keywords)
+    ("path", {"help": "system file"}),
+    ("--format", {"choices": FORMATS, "default": "text", "help": "output format"}),
+)
 
-def _simulate_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--steps", type=int, default=10, help="step budget")
-    p.add_argument("--policy", choices=POLICIES, default="first")
-    p.add_argument("--mode", choices=MODES, default="standard")
-    p.add_argument("--seed", type=int, help="rng seed (random policy)")
-
-
-def _reach_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--target", required=True, help="comma-separated spike counts")
-    p.add_argument("--kmax", type=int, default=4, help="step bound")
-    p.add_argument(
-        "--from",
-        dest="from_config",
-        help="start configuration (defaults to the initial one)",
-    )
-    p.add_argument(
-        "--vmax", type=int, help="step bound when --from is given (default --kmax)"
-    )
-
-
-_COMMANDS = {  # name: (handler, help, options beyond path and --format)
-    "validate": (cmd_validate, "check semantic constraints", None),
-    "matrices": (cmd_matrices, "print the matrix forms", None),
-    "simulate": (cmd_simulate, "run the system and print the trace", _simulate_options),
-    "analyze": (cmd_analyze, "structural report from the matrix forms", None),
-    "reach": (cmd_reach, "decide whether a configuration is reachable", _reach_options),
+_COMMANDS = {  # name: (handler, help, options beyond _SHARED)
+    "validate": (cmd_validate, "check semantic constraints", ()),
+    "matrices": (cmd_matrices, "print the matrix forms", ()),
+    "simulate": (cmd_simulate, "run the system and print the trace", (
+        ("--steps", {"type": int, "default": 10, "help": "step budget"}),
+        ("--policy", {"choices": POLICIES, "default": "first"}),
+        ("--mode", {"choices": MODES, "default": "standard"}),
+        ("--seed", {"type": int, "help": "rng seed (random policy)"}),
+    )),
+    "analyze": (cmd_analyze, "structural report from the matrix forms", ()),
+    "reach": (cmd_reach, "decide whether a configuration is reachable", (
+        ("--target", {"required": True, "help": "comma-separated spike counts"}),
+        ("--kmax", {"type": int, "default": 4, "help": "step bound"}),
+        ("--from", {
+            "dest": "from_config",
+            "help": "start configuration (defaults to the initial one)",
+        }),
+        ("--vmax", {"type": int, "help": "step bound when --from is given (default --kmax)"}),
+    )),
 }
 
 
-def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser.  With `only`, the one subcommand argv names: the
-    tree holds that subcommand's parser alone, and its usage line still
-    lists them all (argv naming one, no other top-level message shows)."""
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would return for a well-formed call, read from
+    the flag table: a subcommand, one path, each of its flags at most once as
+    ``--flag value``, no path or value starting with ``-``, ints in ASCII
+    digits, choices among their choices, required flags present.  Anything
+    else is None, and argparse parses it: help, errors, and the spellings it
+    also accepts, such as ``--flag=value``, abbreviations or ``--steps -1``."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = dict(_SHARED[1:] + _COMMANDS[argv[0]][2])  # all but the path
+    values = {}
+    paths = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            paths.append(token)
+            continue
+        spec = flags.get(token)
+        value = next(tokens, "-")  # a flag ending argv reads as a flag
+        if spec is None or token in values or value.startswith("-"):
+            return None
+        if spec.get("type") is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # past the interpreter's digit limit
+                return None
+        elif "choices" in spec and value not in spec["choices"]:
+            return None
+        values[token] = value
+    if len(paths) != 1:
+        return None
+    args = SimpleNamespace(subcommand=argv[0], path=paths[0])
+    for flag, spec in flags.items():
+        if flag not in values and spec.get("required"):
+            return None
+        setattr(args, spec.get("dest", flag[2:]), values.get(flag, spec.get("default")))
+    return args
+
+
+def _build_parser(only: str | None = None):
+    """The argument parser, built from the flag table.  With `only`, the one
+    subcommand argv names: the tree holds that subcommand's parser alone, and
+    its usage line still lists them all (argv naming one, no other top-level
+    message shows)."""
+    import argparse  # help and errors only: a well-formed call is read by _read_argv
+
     parser = argparse.ArgumentParser(
         prog="snpkit",
         description="Simulate and analyze spiking neural P systems "
@@ -373,19 +416,17 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
     for name, (_cmd, help_, options) in _COMMANDS.items():
         if only in (None, name):
             p = sub.add_parser(name, help=help_)
-            p.add_argument("path", help="system file")
-            p.add_argument(
-                "--format", choices=FORMATS, default="text", help="output format"
-            )
-            if options:
-                options(p)
+            for flag, spec in _SHARED + options:
+                p.add_argument(flag, **spec)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = _sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args = parser.parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+        args = parser.parse_args(argv, SimpleNamespace())
     try:
         _check_flags(args)
         code = _COMMANDS[args.subcommand][0](args)

@@ -6,6 +6,8 @@ loads.  Every JSON output is validated against the schemas shipped under
 docs/schemas.
 """
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -876,6 +878,30 @@ def test_cli_import_loads_no_rational_arithmetic():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+    # a well-formed call is read from the flag table: argparse (with the
+    # gettext and locale it loads) serves only help and errors, and json
+    # only simulate's JSON records; modules site loaded before do not count
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from snpkit.cli import main\n"
+        f"main(['validate', {EXAMPLE1!r}])\n"
+        f"main(['reach', {EXAMPLE1!r}, '--target', '1,1,1', '--format', 'json'])\n"
+        "print(sorted({'argparse', 'json', 'gettext', 'locale'} & (set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=str(REPO_ROOT),
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    # the streaming writer's string encoder is the one json.dumps runs
+    from snpkit import cli
+
+    assert cli.encode_basestring_ascii is json.encoder.encode_basestring_ascii
 
 
 def _run_captured(capsys, argv):
@@ -889,8 +915,8 @@ def _run_captured(capsys, argv):
 
 @pytest.mark.parametrize("name", ["validate", "matrices", "simulate", "analyze", "reach"])
 def test_one_subcommand_parser_prints_as_the_full_tree(capsys, monkeypatch, name):
-    # argv naming a subcommand builds that one parser; every exit code and
-    # byte must be the full tree's
+    # a well-formed call builds no parser; any other argv naming a subcommand
+    # builds that one parser; every exit code and byte must be the full tree's
     from snpkit import cli
 
     extra = ["--target", "1,1,1"] if name == "reach" else []
@@ -912,7 +938,7 @@ def test_one_subcommand_parser_prints_as_the_full_tree(capsys, monkeypatch, name
 
     monkeypatch.setattr(cli, "_build_parser", spy)
     one = [_run_captured(capsys, argv) for argv in cases]
-    assert built == [name] * len(cases)
+    assert built == [name] * (len(cases) - 1)  # the valid call is read from the table
     monkeypatch.setattr(cli, "_build_parser", lambda only=None: full())
     assert one == [_run_captured(capsys, argv) for argv in cases]
     assert [code for code, _out, _err in one][:5] == [0, 0, 2, 2, 2]
@@ -926,3 +952,142 @@ def test_argv_naming_no_subcommand_builds_the_full_tree(capsys):
     assert code == 2 and "required: subcommand" in err
     code, _out, err = _run_captured(capsys, ["simulat", EXAMPLE1])
     assert code == 2 and "invalid choice: 'simulat'" in err
+
+
+# --- the flag table against the parser it replaced --------------------------------
+
+SUBCOMMANDS = ("validate", "matrices", "simulate", "analyze", "reach")
+
+
+def _reference_parser(only=None):
+    """The argument parser as it was written before the flag table (reference):
+    help, usage errors and parsed values must not drift from it."""
+    import argparse
+
+    from snpkit.engine import MODES, POLICIES
+
+    def simulate_options(p):
+        p.add_argument("--steps", type=int, default=10, help="step budget")
+        p.add_argument("--policy", choices=POLICIES, default="first")
+        p.add_argument("--mode", choices=MODES, default="standard")
+        p.add_argument("--seed", type=int, help="rng seed (random policy)")
+
+    def reach_options(p):
+        p.add_argument("--target", required=True, help="comma-separated spike counts")
+        p.add_argument("--kmax", type=int, default=4, help="step bound")
+        p.add_argument(
+            "--from",
+            dest="from_config",
+            help="start configuration (defaults to the initial one)",
+        )
+        p.add_argument(
+            "--vmax", type=int, help="step bound when --from is given (default --kmax)"
+        )
+
+    commands = {
+        "validate": ("check semantic constraints", None),
+        "matrices": ("print the matrix forms", None),
+        "simulate": ("run the system and print the trace", simulate_options),
+        "analyze": ("structural report from the matrix forms", None),
+        "reach": ("decide whether a configuration is reachable", reach_options),
+    }
+    parser = argparse.ArgumentParser(
+        prog="snpkit",
+        description="Simulate and analyze spiking neural P systems "
+        "via their matrix representation.",
+    )
+    listing = None if only is None else "{" + ",".join(commands) + "}"
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=listing)
+    for name, (help_, options) in commands.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_)
+            p.add_argument("path", help="system file")
+            p.add_argument(
+                "--format", choices=("text", "json"), default="text", help="output format"
+            )
+            if options:
+                options(p)
+    return parser
+
+
+def _parsed(parser, argv):
+    """argparse's verdict on argv: the namespace's attributes, or the exit
+    code and the bytes printed on the way out."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def _only(argv):
+    return argv[0] if argv and argv[0] in SUBCOMMANDS else None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        *([name, "--help"] for name in SUBCOMMANDS),
+        [],
+        ["simulat", EXAMPLE1],
+        ["validate", EXAMPLE1, "--format=yaml"],
+        ["simulate", EXAMPLE1, "--steps", "x"],
+        ["reach", EXAMPLE1],
+        ["reach", EXAMPLE1, "--target", "1", "--target", "2", "--kmax", "+"],
+    ],
+    ids=["help", *(f"{name}-help" for name in SUBCOMMANDS), "empty", "unknown-subcommand",
+         "flag=value", "bad-int", "missing-required", "repeated-and-bad-int"],
+)
+def test_help_and_usage_errors_print_the_reference_bytes(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to it
+    assert _run_captured(capsys, argv) == _parsed(_reference_parser(_only(argv)), argv)
+
+
+OWN_FLAGS = {  # each subcommand's flags beside its path, with values it takes
+    "--format": ("text", "json"),
+    "--steps": ("0", "007", "12"),
+    "--policy": ("first", "random", "exhaustive"),
+    "--mode": ("standard", "paper-trace"),
+    "--seed": ("0", "5"),
+    "--target": ("1,1,1", "x"),
+    "--kmax": ("3",),
+    "--from": ("1,0,1",),
+    "--vmax": ("2",),
+}
+SUBCOMMAND_FLAGS = {
+    "simulate": ("--format", "--steps", "--policy", "--mode", "--seed"),
+    "reach": ("--format", "--target", "--kmax", "--from", "--vmax"),
+}
+ODD_TOKENS = ("--form", "--format=json", "--st", "-h", "--help", "--bogus", "-", "--",
+              "0", "007", "+5", "-1", "\u0663", "", "json", "yaml", "1" * 5000,
+              "a.snp", "simulate", *OWN_FLAGS)
+
+
+@st.composite
+def argvs(draw, odd_tokens):
+    """A subcommand's call in any order: its path and some of its own flags
+    once each, with up to two odd tokens or pairs mixed in if `odd_tokens`."""
+    head = draw(st.sampled_from(SUBCOMMANDS + ("simulat", "-h", "")))
+    own = SUBCOMMAND_FLAGS.get(head, ("--format",))
+    flags = draw(st.lists(st.sampled_from(own), unique=True))
+    chunks = [(EXAMPLE1,)] + [(flag, draw(st.sampled_from(OWN_FLAGS[flag]))) for flag in flags]
+    odd = st.sampled_from(ODD_TOKENS)
+    if odd_tokens:
+        chunks += draw(st.lists(st.one_of(st.tuples(odd), st.tuples(odd, odd)), max_size=2))
+    tokens = [token for chunk in draw(st.permutations(chunks)) for token in chunk]
+    return [head, *tokens] if head else tokens
+
+
+@given(argv=st.one_of(argvs(odd_tokens=False), argvs(odd_tokens=True)))
+@settings(max_examples=400, deadline=None)
+def test_flag_table_reader_matches_argparse(argv):
+    from snpkit import cli
+
+    args = cli._read_argv(argv)
+    if args is not None:
+        # what the reader takes, the full tree takes alike, without exiting
+        assert _parsed(cli._build_parser(), argv) == vars(args)
+    front = vars(args) if args is not None else _parsed(cli._build_parser(_only(argv)), argv)
+    assert front == _parsed(_reference_parser(_only(argv)), argv)
