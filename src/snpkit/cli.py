@@ -9,14 +9,16 @@ target not reachable; 2 usage errors, unreadable or malformed input, or a
 stdout closed before all output was written (a broken pipe, as in
 ``| head -1``).  Flag errors are reported before the system file is read.
 Output is byte-deterministic for identical invocations (random policy
-requires an explicit seed for exactly this reason).
+requires an explicit seed for exactly this reason).  A well-formed argv is
+read from the flag table, `_COMMANDS`, and argparse prints help and errors;
+JSON goes through the C encoders of `_json`, so no path imports `json`.
 """
 
 from __future__ import annotations
 
 import os
 import sys as _sys
-from _json import encode_basestring_ascii  # the C encoder json.encoder binds
+from _json import encode_basestring_ascii, make_encoder  # the C encoders json.encoder binds
 from types import SimpleNamespace
 
 from .engine import MODES, POLICIES, Trace, TraceTree, achievable_first_intervals, run_trace
@@ -116,6 +118,11 @@ def json_default(obj) -> dict:
     return {name: getattr(obj, name) for name in obj._fields}
 
 
+# json.dumps(r, default=json_default)'s encoder, minus a cycle check records never need
+_json_line = make_encoder(None, json_default, encode_basestring_ascii, None,
+                          ": ", ", ", False, False, True)
+
+
 def _json(obj, ind: str):
     """Yield ``json.dumps(obj, indent=2, sort_keys=True, default=json_default)``
     in pieces, `ind` being a newline and the current indent.  `json` runs its
@@ -155,8 +162,6 @@ def _json(obj, ind: str):
             yield from _json(value, inner)
             sep = "," + inner
         yield ind + "}"
-    elif t is float:
-        raise TypeError("float is not printed: snpkit's numbers are exact ints")
     else:
         yield from _json(json_default(obj), ind)
 
@@ -257,9 +262,7 @@ def cmd_simulate(args: SimpleNamespace) -> int:
             )
         return 0
     if args.format == "json":
-        import json  # its C encoder, for this one compact line per record
-
-        print("\n".join(json.dumps(r, default=json_default) for r in result.records))
+        print("\n".join("".join(_json_line(r, 0)) for r in result.records))
     else:
         _print_trace_text(result)
     return 0
@@ -360,11 +363,11 @@ _COMMANDS = {  # name: (handler, help, options beyond _SHARED)
 
 def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     """The namespace argparse would return for a well-formed call, read from
-    the flag table: a subcommand, one path, each of its flags at most once as
-    ``--flag value``, no path or value starting with ``-``, ints in ASCII
-    digits, choices among their choices, required flags present.  Anything
-    else is None, and argparse parses it: help, errors, and the spellings it
-    also accepts, such as ``--flag=value``, abbreviations or ``--steps -1``."""
+    the flag table: a subcommand, one path, ``--flag value`` pairs (the last
+    of a repeated flag kept), no path or value starting with ``-``, ints as
+    ``int()`` reads them, choices among their choices, required flags
+    present.  Anything else is None, and argparse parses it: help, errors,
+    and also ``--flag=value``, abbreviations or ``--steps -1``."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     flags = dict(_SHARED[1:] + _COMMANDS[argv[0]][2])  # all but the path
@@ -377,14 +380,12 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
             continue
         spec = flags.get(token)
         value = next(tokens, "-")  # a flag ending argv reads as a flag
-        if spec is None or token in values or value.startswith("-"):
+        if spec is None or value.startswith("-"):
             return None
         if spec.get("type") is int:
-            if not (value.isascii() and value.isdigit()):
-                return None
             try:
                 value = int(value)
-            except ValueError:  # past the interpreter's digit limit
+            except ValueError:
                 return None
         elif "choices" in spec and value not in spec["choices"]:
             return None
@@ -399,11 +400,9 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     return args
 
 
-def _build_parser(only: str | None = None):
-    """The argument parser, built from the flag table.  With `only`, the one
-    subcommand argv names: the tree holds that subcommand's parser alone, and
-    its usage line still lists them all (argv naming one, no other top-level
-    message shows)."""
+def _build_parser():
+    """The argument parser, built from the flag table; it prints every help
+    text and usage error."""
     import argparse  # help and errors only: a well-formed call is read by _read_argv
 
     parser = argparse.ArgumentParser(
@@ -411,13 +410,11 @@ def _build_parser(only: str | None = None):
         description="Simulate and analyze spiking neural P systems "
         "via their matrix representation.",
     )
-    listing = None if only is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=listing)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_cmd, help_, options) in _COMMANDS.items():
-        if only in (None, name):
-            p = sub.add_parser(name, help=help_)
-            for flag, spec in _SHARED + options:
-                p.add_argument(flag, **spec)
+        p = sub.add_parser(name, help=help_)
+        for flag, spec in _SHARED + options:
+            p.add_argument(flag, **spec)
     return parser
 
 
@@ -425,8 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = _sys.argv[1:] if argv is None else argv
     args = _read_argv(argv)
     if args is None:
-        parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-        args = parser.parse_args(argv, SimpleNamespace())
+        args = _build_parser().parse_args(argv, SimpleNamespace())
     try:
         _check_flags(args)
         code = _COMMANDS[args.subcommand][0](args)

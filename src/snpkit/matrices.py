@@ -182,8 +182,6 @@ def _digraph_has_cycle(m: int, syn) -> bool:
     adj: list[list[int]] = [[] for _ in range(m)]
     for a, b in syn:
         adj[a].append(b)
-        if a == b:
-            return True
     color = [0] * m  # 0 unvisited, 1 on stack, 2 done
     for start in range(m):
         if color[start]:

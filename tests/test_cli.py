@@ -21,8 +21,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import REPO_ROOT, SYSTEMS_DIR, TESTS_DIR
-from snpkit.cli import _json, json_default, main
-from snpkit.model import Record, parse_system
+from gensys import make_random_system
+from snpkit.cli import _json, _json_line, json_default, main
+from snpkit.engine import MODES, run_trace
+from snpkit.model import Record, SNPSystem, parse_system
 from snpkit.reachability import bfs_oracle
 
 EXAMPLE1 = str(SYSTEMS_DIR / "example1.snp")
@@ -435,6 +437,18 @@ def test_reach_unreachable_exit_1(capsys):
     assert "candidates tried: 17" in out
 
 
+def test_reach_text_of_zero_steps_and_bound_exhausted(capsys):
+    code, out, _ = run_cli(capsys, "reach", EXAMPLE1, "--target", "2,1,1", "--kmax", "3")
+    assert code == 0
+    assert out == (
+        "verdict: reachable\nk: 0\nsum vector: (0, 0, 0, 0, 0)\n"
+        "  already at C=(2, 1, 1)\n"
+    )
+    code, out, _ = run_cli(capsys, "reach", EXAMPLE1, "--target", "1,0,1", "--kmax", "3")
+    assert code == 1
+    assert out.endswith("\ncandidate (0, 2, 3, 3, 1): bound exhausted\n")
+
+
 def test_reach_json_schema(capsys):
     for target, expect in (("2,1,2", 0), ("2,0,2", 1)):
         code, out, _ = run_cli(
@@ -601,6 +615,28 @@ def test_emitter_refuses_floats_and_foreign_types():
         emitted({"rows": [1, 2.5]})
     with pytest.raises(TypeError, match="set is not JSON serializable"):
         emitted([1, {1}])
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    mode=st.sampled_from(MODES),
+    policy=st.sampled_from(["first", "random"]),
+    bumps=st.lists(st.sampled_from([0, 2**63, 2**64, 2**100]), min_size=5, max_size=5),
+)
+@settings(max_examples=150, deadline=None)
+def test_trace_line_matches_json_dumps(seed, mode, policy, bumps):
+    # simulate's JSON line per record is the line json.dumps writes, here on
+    # delayed systems whose spike counts may run past 64 bits
+    rng = random.Random(seed)
+    sys_ = make_random_system(rng, max_neurons=5, allow_delay=True)
+    sys_ = SNPSystem(**{
+        **{name: getattr(sys_, name) for name in sys_._fields},
+        "initial": tuple(x + b for x, b in zip(sys_.initial, bumps)),
+    })
+    trace = run_trace(sys_, 8, policy=policy, mode=mode,
+                      seed=seed if policy == "random" else None)
+    for r in trace.records:
+        assert "".join(_json_line(r, 0)) == json.dumps(r, default=json_default)
 
 
 def tier_system(rng: random.Random, neurons: int, rules_per_neuron: int) -> str:
@@ -879,14 +915,17 @@ def test_cli_import_loads_no_rational_arithmetic():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
     # a well-formed call is read from the flag table: argparse (with the
-    # gettext and locale it loads) serves only help and errors, and json
-    # only simulate's JSON records; modules site loaded before do not count
+    # gettext and locale it loads) serves only help and errors, and JSON is
+    # written by _json's C encoders, with no json module; modules site loaded
+    # before do not count
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "from snpkit.cli import main\n"
         f"main(['validate', {EXAMPLE1!r}])\n"
         f"main(['reach', {EXAMPLE1!r}, '--target', '1,1,1', '--format', 'json'])\n"
+        f"main(['simulate', {EXAMPLE1!r}, '--format', 'json'])\n"
+        f"main(['simulate', {EXAMPLE1!r}, '--policy', 'exhaustive', '--format', 'json'])\n"
         "print(sorted({'argparse', 'json', 'gettext', 'locale'} & (set(sys.modules) - before)))\n"
     )
     proc = subprocess.run(
@@ -898,10 +937,11 @@ def test_cli_import_loads_no_rational_arithmetic():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
-    # the streaming writer's string encoder is the one json.dumps runs
+    # the string and line encoders are the ones json.dumps runs
     from snpkit import cli
 
     assert cli.encode_basestring_ascii is json.encoder.encode_basestring_ascii
+    assert cli.make_encoder is json.encoder.c_make_encoder
 
 
 def _run_captured(capsys, argv):
@@ -915,8 +955,8 @@ def _run_captured(capsys, argv):
 
 @pytest.mark.parametrize("name", ["validate", "matrices", "simulate", "analyze", "reach"])
 def test_one_subcommand_parser_prints_as_the_full_tree(capsys, monkeypatch, name):
-    # a well-formed call builds no parser; any other argv naming a subcommand
-    # builds that one parser; every exit code and byte must be the full tree's
+    # a well-formed call builds no parser; any other argv builds the full
+    # tree once and prints the bytes and exit code of the reference parser
     from snpkit import cli
 
     extra = ["--target", "1,1,1"] if name == "reach" else []
@@ -932,16 +972,16 @@ def test_one_subcommand_parser_prints_as_the_full_tree(capsys, monkeypatch, name
     built = []
     full = cli._build_parser
 
-    def spy(only=None):
-        built.append(only)
-        return full(only)
+    def spy(*args):
+        built.append(args)
+        return full(*args)
 
     monkeypatch.setattr(cli, "_build_parser", spy)
-    one = [_run_captured(capsys, argv) for argv in cases]
-    assert built == [name] * (len(cases) - 1)  # the valid call is read from the table
-    monkeypatch.setattr(cli, "_build_parser", lambda only=None: full())
-    assert one == [_run_captured(capsys, argv) for argv in cases]
-    assert [code for code, _out, _err in one][:5] == [0, 0, 2, 2, 2]
+    got = [_run_captured(capsys, argv) for argv in cases]
+    assert built == [()] * (len(cases) - 1)  # the valid call is read from the table
+    assert [code for code, _out, _err in got][:5] == [0, 0, 2, 2, 2]
+    del got[1], cases[1]
+    assert got == [_parsed(_reference_parser(name), argv) for argv in cases]
 
 
 def test_argv_naming_no_subcommand_builds_the_full_tree(capsys):
@@ -1089,5 +1129,5 @@ def test_flag_table_reader_matches_argparse(argv):
     if args is not None:
         # what the reader takes, the full tree takes alike, without exiting
         assert _parsed(cli._build_parser(), argv) == vars(args)
-    front = vars(args) if args is not None else _parsed(cli._build_parser(_only(argv)), argv)
+    front = vars(args) if args is not None else _parsed(cli._build_parser(), argv)
     assert front == _parsed(_reference_parser(_only(argv)), argv)

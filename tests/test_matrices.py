@@ -311,6 +311,13 @@ def test_cycle_without_rank_deficiency():
     assert rep.rank_cycle_hint is False
 
 
+def test_self_synapse_is_a_cycle():
+    # validate refuses a self-synapse, so no CLI query reports on one; the
+    # depth-first search finds it as a one-node cycle on its own
+    s = parse_system("neuron a spikes=0\nneuron b spikes=0\nsyn a b\nsyn b b\n")
+    assert structural_report(s).dfs_has_cycle is True
+
+
 # --- properties --------------------------------------------------------------
 
 

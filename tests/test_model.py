@@ -94,6 +94,9 @@ def test_rule_helpers(example1):
         ("neuron x spikes=1\nrule x c=1 p=1\n", 2, "expected: rule"),
         ("neuron x spikes=1\nrule x E=a^ c=1 p=1 d=0\n", 2, "bad guard regex"),
         ("neuron x spikes=1\nsyn x\n", 2, "expected: syn"),
+        ("neuron x spikes=1\nout\n", 2, "expected: out <name>"),
+        ("neuron x spikes=1\n\nin x x\n", 3, "expected: in <name>"),
+        ("neuron x spikes=1\nneuron y spikes=0\nin x\nin y\n", 4, "in neuron already designated"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
@@ -157,6 +160,16 @@ def test_validate_handcrafted_out_of_range():
     assert {"negative-spikes", "bad-owner", "bad-synapse", "bad-out"} <= set(codes)
 
 
+def test_validate_reports_what_no_file_can_spell():
+    # the parser reads no negative delay and refuses a repeated synapse;
+    # a system built through the API can hold both, and validate names them
+    s = SNPSystem(("x", "y"), (1, 0), (make_rule(0, None, 1, 1, -1),), ((0, 1), (0, 1)))
+    assert [(e.code, e.location) for e in validate(s)] == [
+        ("negative-delay", "rule 0"),
+        ("duplicate-synapse", "syn (0,1)"),
+    ]
+
+
 @pytest.mark.parametrize("owner", [5, -1])
 @pytest.mark.parametrize("forgetting_in", [0, 1])
 def test_out_of_range_owner_is_only_reported(owner, forgetting_in):
@@ -174,7 +187,8 @@ def test_out_of_range_owner_is_only_reported(owner, forgetting_in):
 
 
 def test_serialize_is_canonical_and_round_trips(example1_text, example3_text):
-    for text in (example1_text, example3_text, "neuron q spikes=0\n"):
+    in_line = "neuron x spikes=1\nneuron y spikes=0\nsyn x y\nout y\nin x\n"
+    for text in (example1_text, example3_text, "neuron q spikes=0\n", in_line):
         s = parse_system(text)
         out = serialize_system(s)
         assert parse_system(out) == s

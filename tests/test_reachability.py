@@ -639,6 +639,16 @@ def test_refusal_finds_its_stop_vector_once(example1, start, target, v_max):
     assert made.call_count == sum(t[-1].Sp is not None for t in tables)
 
 
+def test_split_past_the_bound_is_refused_as_bound_exhausted(example1):
+    # (0, 2, 3, 3, 1) splits, but only in more than 3 steps: its refusal has
+    # no table, as no walk of it failed
+    cert = is_reachable(example1, (1, 0, 1), 3)
+    assert cert.verdict == "not-reachable-within-bounds"
+    refusals = {f.s_bar: f for f in cert.failures}
+    assert refusals[(0, 2, 3, 3, 1)].reason == "bound exhausted"
+    assert refusals[(0, 2, 3, 3, 1)].table == ()
+
+
 def test_initial_config_reachable_in_zero_steps(example1):
     cert = is_reachable(example1, C0, k_max=3)
     assert cert.verdict == "reachable"
