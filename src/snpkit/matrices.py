@@ -116,7 +116,7 @@ def augmented_matrix(sys: SNPSystem) -> IntMatrix:
     base = spiking_matrix(sys)
     data = []
     for i, r in enumerate(sys.rules):
-        env = r.p if (r.owner == sys.out_neuron and not r.is_forgetting) else 0
+        env = r.p if r.owner == sys.out_neuron else 0  # p = 0 on a forgetting rule
         data.append(base.data[i] + (env,))
     return IntMatrix(base.rows, base.cols + 1, tuple(data))
 

@@ -49,7 +49,7 @@ __all__ = [
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-class Rule(Record, uncompared=("guard",)):
+class Rule(Record):
     """One rule E / a^c -> a^p ; d of its owner neuron (p = 0: forgetting)."""
 
     owner: int
@@ -57,7 +57,7 @@ class Rule(Record, uncompared=("guard",)):
     c: int
     p: int
     d: int
-    guard: SemilinearMembership = None
+    guard: SemilinearMembership  # compiled from guard_src
 
     @property
     def is_forgetting(self) -> bool:
@@ -155,8 +155,7 @@ def parse_system(text: str) -> SNPSystem:
     guards: dict[str, tuple[str, SemilinearMembership]] = {}
     syn: list[tuple[int, int]] = []
     seen_syn: set[tuple[int, int]] = set()
-    out_neuron: int | None = None
-    in_neuron: int | None = None
+    designated: dict[str, int] = {}  # "out" and "in"
     index: dict[str, int] = {}
 
     def err(msg: str, lineno: int):
@@ -212,18 +211,12 @@ def parse_system(text: str) -> SNPSystem:
                 err(f"duplicate synapse {parts[1]} -> {parts[2]}", lineno)
             seen_syn.add(pair)
             syn.append(pair)
-        elif kind == "out":
+        elif kind in ("out", "in"):
             if len(parts) != 2:
-                err("expected: out <name>", lineno)
-            if out_neuron is not None:
-                err("out neuron already designated", lineno)
-            out_neuron = lookup(parts[1], lineno)
-        elif kind == "in":
-            if len(parts) != 2:
-                err("expected: in <name>", lineno)
-            if in_neuron is not None:
-                err("in neuron already designated", lineno)
-            in_neuron = lookup(parts[1], lineno)
+                err(f"expected: {kind} <name>", lineno)
+            if kind in designated:
+                err(f"{kind} neuron already designated", lineno)
+            designated[kind] = lookup(parts[1], lineno)
         else:
             err(f"unknown directive {kind!r}", lineno)
 
@@ -232,8 +225,8 @@ def parse_system(text: str) -> SNPSystem:
         initial=tuple(initial),
         rules=tuple(rules),
         syn=tuple(syn),
-        out_neuron=out_neuron,
-        in_neuron=in_neuron,
+        out_neuron=designated.get("out"),
+        in_neuron=designated.get("in"),
     )
 
 

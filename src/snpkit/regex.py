@@ -4,15 +4,16 @@ Rule guards in a spiking system are regular expressions over a single
 symbol, so a guard's language is fully described by the set of spike
 counts it accepts.  That set is ultimately periodic (Chrobak 1986): after
 some threshold T the membership of n depends only on n mod P.
-``compile_ast`` composes the minimal (T, P, residues) form once, bottom up
-over the expression, each part held as a bitset over [0, T + P): union
-over the lcm of the periods, concatenation as a sumset, star as a
-numerical monoid through its Apery set.  After that ``matches`` is an O(1)
-table lookup.  ``nfa_matches`` steps Glushkov's position automaton (one
-state per a the expression spells, no epsilon edges) n times, a route
+``compile_ast`` composes the minimal (T, P) lasso once, bottom up over the
+expression, each part held as a bitset over [0, T + P): union over the lcm
+of the periods, concatenation as a sumset, star as a numerical monoid
+through its Apery set.  The compiled guard keeps that window from its
+least member on, one character per count, so ``matches`` is an O(1)
+lookup.  ``nfa_matches`` steps Glushkov's position automaton (one state
+per a the expression spells, no epsilon edges) n times, a route
 independent of the composition.
 
-Grammar (no whitespace; offsets in error messages are byte offsets)::
+Grammar (no whitespace; offsets in error messages are character offsets)::
 
     E      ::= term ('|' term)*
     term   ::= factor+
@@ -31,7 +32,6 @@ building the set or doing the work; a lone literal never composes.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress
 from math import comb, gcd, inf, lcm
 from operator import attrgetter
 
@@ -52,20 +52,18 @@ __all__ = [
 
 class Record:
     """Base of snpkit's immutable records: annotations name the fields, class
-    attributes give defaults.  Eq and hash go by value unless ``eq=False``;
-    fields named in ``uncompared`` stay out of eq, hash and repr."""
+    attributes give defaults.  Eq and hash go by value unless ``eq=False``."""
 
-    def __init_subclass__(cls, eq: bool = True, uncompared: tuple[str, ...] = ()):
+    def __init_subclass__(cls, eq: bool = True):
         cls._fields = names = tuple(cls.__dict__.get("__annotations__", ()))
         cls.__init__ = _compile_init  # compiled on first use: a query uses about half
-        cls._shown = shown = tuple(n for n in names if n not in uncompared)
-        key = attrgetter(*shown) if len(shown) > 1 else lambda s, g=attrgetter(*shown): (g(s),)
+        key = attrgetter(*names) if len(names) > 1 else lambda s, g=attrgetter(*names): (g(s),)
         if eq:
             cls.__hash__ = lambda self: hash(key(self))
             cls.__eq__ = lambda a, b: key(a) == key(b) if type(b) is type(a) else NotImplemented
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value=None):
@@ -111,7 +109,7 @@ MAX_WALK = 10**6  # counts one composed set may span, and steps one guard may ta
 
 
 class RegexSyntaxError(ValueError):
-    """Raised on malformed regex source; carries the byte offset."""
+    """Raised on malformed regex source; carries the character offset."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
@@ -307,34 +305,37 @@ def nfa_matches(ast: RegexAst, n: int) -> bool:
     return _follow(frontier, ends, end)[1]
 
 
-class SemilinearMembership(Record, uncompared=("state_count",)):
-    """Ultimately periodic membership table for a unary language.
+class SemilinearMembership(Record):
+    """Ultimately periodic membership table for a unary language: its
+    minimal lasso, stored from the least member on.
 
-    matches(n) is n in tail for n < threshold and cycle[(n - threshold) %
-    period] otherwise; tail holds the accepted counts below threshold and
-    cycle is one period.  threshold and period are minimal, so equal
-    languages compile to equal objects.  state_count is threshold + period,
-    the size of the minimal unary automaton; it is derived from the other
-    fields, so it stays out of eq, hash and repr.
+    Count i is accepted iff bits[i - low] is "1", for i in the window
+    [low, threshold + period); below low nothing is, and from threshold on
+    n is accepted iff threshold + (n - threshold) % period is.  threshold
+    and period are minimal and low is the least member, so equal languages
+    compile to equal objects, and a^k is (k + 1, 1, k, "10") for any k.
     """
 
     threshold: int
     period: int
-    tail: frozenset[int]
-    cycle: tuple[bool, ...]
-    state_count: int
+    low: int
+    bits: str
+
+    @property
+    def state_count(self) -> int:
+        """The size of the minimal unary automaton."""
+        return self.threshold + self.period
 
     def matches(self, n: int) -> bool:
         if n < 0:
             raise ValueError("n must be nonnegative")
-        if n < self.threshold:
-            return n in self.tail
-        return self.cycle[(n - self.threshold) % self.period]
+        if n >= self.threshold:
+            n = self.threshold + (n - self.threshold) % self.period
+        return n >= self.low and self.bits[n - self.low] == "1"
 
     def is_singleton(self, n: int) -> bool:
-        """True iff the language is exactly {n}: finite (no accepting
-        cycle state) with tail {n}."""
-        return not any(self.cycle) and self.tail == {n}
+        """True iff the language is exactly {n}: the normal lasso of a^n."""
+        return (self.threshold, self.period, self.low, self.bits) == (n + 1, 1, n, "10")
 
 
 # --- composing lassos ---------------------------------------------------------
@@ -527,11 +528,11 @@ def compile_ast(ast: RegexAst) -> SemilinearMembership:
     if isinstance(ast, Literal) and ast.count >= 0:
         # the lasso of a^k is known without its bits
         k = ast.count
-        return SemilinearMembership(k + 1, 1, frozenset((k,)), (False,), k + 2)
+        return SemilinearMembership(k + 1, 1, k, "10")
     t, p, bits = _Composer().lasso(ast)
-    ones = format(bits, "b").zfill(t + p)[::-1]  # n = 0 first
-    tail = frozenset(compress(range(t), map("1".__eq__, ones)))
-    return SemilinearMembership(t, p, tail, tuple(map("1".__eq__, ones[t:])), t + p)
+    low = (bits & -bits).bit_length() - 1
+    # the binary digits run from count t + p - 1 down to 0: read them back from low's
+    return SemilinearMembership(t, p, low, format(bits, "b").zfill(t + p)[t + p - 1 - low :: -1])
 
 
 def compile_regex(src: str) -> SemilinearMembership:

@@ -1,6 +1,7 @@
 """Guard regex parsing, printing, and membership compilation."""
 
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +13,7 @@ from snpkit.regex import (
     Concat,
     Literal,
     RegexSyntaxError,
+    SemilinearMembership,
     Star,
     Union,
     compile_ast,
@@ -50,6 +52,11 @@ def lang_upto(ast, limit=UPTO):
             frontier = nxt
         return acc
     raise TypeError(ast)
+
+
+def members(m):
+    """The counts a compiled guard accepts in its window [low, threshold + period)."""
+    return [m.low + i for i, bit in enumerate(m.bits) if bit == "1"]
 
 
 # --- parsing ---------------------------------------------------------------
@@ -130,7 +137,8 @@ def test_guards_over_walk_budget_refused(src):
 
 def test_guards_within_walk_budget_or_lone_compile(monkeypatch):
     # a lone literal never composes, whatever its length
-    assert compile_regex(f"a^{MAX_WALK}a^{MAX_WALK}").tail == frozenset((2 * MAX_WALK,))
+    k = 2 * MAX_WALK
+    assert compile_regex(f"a^{MAX_WALK}a^{MAX_WALK}") == SemilinearMembership(k + 1, 1, k, "10")
     assert compile_regex(f"(a^{10**20 - 1})").threshold == 10**20
     # a literal inside may spell the budget's count of a's, and each set built
     # from it may span that many positions (a smaller budget here)
@@ -176,26 +184,27 @@ def test_odd_counts_language():
     assert m.period == 2
     # threshold is minimal: parity alone decides membership from n=0 on
     assert m.threshold == 0
-    assert any(m.cycle)  # an infinite language
+    assert members(m) == [1]  # from the threshold on: an infinite language
 
 
 def test_singleton_and_finite_languages():
     m2 = compile_regex("a^2")
-    assert not any(m2.cycle) and m2.tail == frozenset([2])
+    assert m2 == SemilinearMembership(3, 1, 2, "10")
     assert m2.is_singleton(2)
     assert not m2.is_singleton(1)
     mu = compile_regex("a|a^3")
-    assert not any(mu.cycle) and mu.tail == frozenset([1, 3])
+    assert (mu.threshold, mu.period, members(mu)) == (4, 1, [1, 3])  # nothing from 4 on
     assert not mu.is_singleton(1)
-    infinite = compile_regex("a|a^5a*")  # tail {1}, but 5, 6, ... accepted too
-    assert infinite.tail == frozenset([1]) and not infinite.is_singleton(1)
+    infinite = compile_regex("a|a^5a*")  # 1 below the threshold, but 5, 6, ... accepted too
+    assert (infinite.threshold, members(infinite)) == (5, [1, 5])
+    assert not infinite.is_singleton(1)
 
 
 def test_star_zero_accepts_everything_in_multiples():
     m = compile_regex("a^3*")
     assert [n for n in range(13) if m.matches(n)] == [0, 3, 6, 9, 12]
     m0 = compile_regex("a^0*")
-    assert not any(m0.cycle) and m0.tail == frozenset([0])
+    assert m0 == SemilinearMembership(1, 1, 0, "10") and m0.is_singleton(0)
 
 
 def test_threshold_and_period_are_minimal():
@@ -210,7 +219,7 @@ def test_threshold_and_period_are_minimal():
     assert [n for n in range(9) if m2.matches(n)] == [0, 1, 2, 4, 6, 8]
     assert m2.period == 2
     assert m2.threshold == 2
-    assert m2.tail == frozenset((0, 1))
+    assert members(m2) == [0, 1, 2]  # 0 and 1 below the threshold, then the evens
 
 
 def test_matches_rejects_negative():
@@ -253,7 +262,7 @@ def test_literal_lasso_matches_nfa_route(k, n):
     m = compile_ast(Literal(k))
     # a one-part Concat composes the literal's own bits
     via_nfa = compile_ast(Concat((Literal(k),)))
-    assert m == via_nfa and m.state_count == via_nfa.state_count
+    assert m == via_nfa == SemilinearMembership(k + 1, 1, k, "10")
     assert m.matches(n) == nfa_matches(Literal(k), n) == (n == k)
 
 
@@ -263,21 +272,19 @@ def test_literal_guard_compiles_without_nfa(monkeypatch):
 
     monkeypatch.setattr(regex, "_positions", no_nfa)
     m = compile_regex("a^3000000")
-    assert (m.threshold, m.period, m.cycle, m.state_count) == (3000001, 1, (False,), 3000002)
-    assert m.tail == frozenset((3000000,))
+    assert m == SemilinearMembership(3000001, 1, 3000000, "10") and m.state_count == 3000002
     assert m.matches(3000000) and not m.matches(2999999) and not m.matches(3000001)
     # everything else composes lassos too: only nfa_matches takes the positions
     assert compile_regex("a^3*") == compile_regex("(a^6)*|a^3(a^6)*")
 
 
 def from_lasso(m):
-    """A regex for the language of a compiled lasso: each tail count, and
-    each accepted residue of the cycle followed by a starred period."""
-    parts = [Literal(n) for n in sorted(m.tail)]
-    parts += [
-        Concat((Literal(m.threshold + i), Star(Literal(m.period))))
-        for i, acc in enumerate(m.cycle)
-        if acc
+    """A regex for the language of a compiled lasso: each accepted count
+    below the threshold, and each one from it on followed by a starred
+    period."""
+    parts = [
+        Literal(n) if n < m.threshold else Concat((Literal(n), Star(Literal(m.period))))
+        for n in members(m)
     ]
     return parts[0] if len(parts) == 1 else Union(tuple(parts))
 
@@ -294,8 +301,8 @@ def test_equal_languages_compile_to_equal_lassos():
 @settings(max_examples=100, deadline=None)
 def test_lasso_is_canonical(ast):
     m = compile_ast(ast)
-    assert len(m.cycle) == m.period
-    assert m.tail <= set(range(m.threshold))
+    # the window runs from the least member to the end of the first period
+    assert len(m.bits) == m.threshold + m.period - m.low and m.bits[0] == "1"
     assert compile_ast(Union((ast, ast))) == m
     rebuilt = compile_ast(from_lasso(m))
     assert rebuilt == m and hash(rebuilt) == hash(m)
@@ -322,6 +329,31 @@ def test_compiled_table_is_ultimately_periodic_and_minimal(ast):
         window = range(m.threshold, m.threshold + 6 * m.period)
         if all(m.matches(n) == m.matches(n + p) for n in window):
             pytest.fail(f"period {m.period} not minimal, {p} fits")
+
+
+def nfa_members(ast, upto: int) -> list[int]:
+    """The counts up to upto that the position automaton accepts, in one run."""
+    ends, end = regex._positions(ast)
+    frontier, accepted = frozenset({-1}), []
+    for n in range(upto + 1):
+        frontier, accept = regex._follow(frontier, ends, end)
+        if accept:
+            accepted.append(n)
+    return accepted
+
+
+@given(ast=asts, n=st.integers(min_value=0, max_value=UPTO))
+@example(ast=Literal(1), n=1)
+@example(ast=Literal(7), n=6)
+@example(ast=Literal(MAX_WALK + 1), n=MAX_WALK + 1)  # never composed
+@example(ast=Star(Literal(0)), n=0)
+@settings(max_examples=200, deadline=None)
+def test_is_singleton_iff_nfa_accepts_one_count(ast, n):
+    # a count past threshold + period is accepted iff one a period earlier is
+    m = compile_ast(ast)
+    accepted = nfa_members(ast, m.state_count + m.period)
+    for k in {n, 0, *accepted}:
+        assert m.is_singleton(k) == (accepted == [k]), k
 
 
 # --- differential test against the Thompson construction -------------------
@@ -409,13 +441,13 @@ def thompson_run(ast) -> tuple[list[bool], int]:
         accepts.append(out in frontier)
 
 
-def thompson_compile(ast) -> regex.SemilinearMembership:
+def thompson_compile(ast) -> tuple[SemilinearMembership, int]:
     return run_lasso(*thompson_run(ast))
 
 
-def run_lasso(accepts: list[bool], loop_start: int) -> regex.SemilinearMembership:
-    """The minimal lasso of a determinized run: acceptance per subset state,
-    and the state the last one steps back to.  state_count is the run's
+def run_lasso(accepts: list[bool], loop_start: int) -> tuple[SemilinearMembership, int]:
+    """The minimal lasso of a determinized run, given its acceptance per
+    subset state and the state the last one steps back to, and the run's
     number of states."""
     t_raw, p_raw = loop_start, len(accepts) - loop_start
     cyc = accepts[t_raw:]
@@ -427,14 +459,9 @@ def run_lasso(accepts: list[bool], loop_start: int) -> regex.SemilinearMembershi
     threshold = t_raw
     while threshold > 0 and accepts[threshold - 1] == cyc[(threshold - 1 - t_raw) % period]:
         threshold -= 1
-    off = (threshold - t_raw) % period
-    return regex.SemilinearMembership(
-        threshold=threshold,
-        period=period,
-        tail=frozenset(n for n in range(threshold) if accepts[n]),
-        cycle=tuple(cyc[(off + i) % p_raw] for i in range(period)),
-        state_count=len(accepts),
-    )
+    low = accepts.index(True)  # a least member lies below t_raw + p_raw
+    window = "".join("01"[acc] for acc in accepts[low : threshold + period])
+    return SemilinearMembership(threshold, period, low, window), len(accepts)
 
 
 def thompson_matches(ast, n: int) -> bool:
@@ -455,21 +482,21 @@ def thompson_matches(ast, n: int) -> bool:
 @example(ast=Star(Star(Union((Literal(2), Star(Literal(3)))))))
 @settings(max_examples=300, deadline=None)
 def test_positions_agree_with_thompson_reference(ast):
-    walked, ref = walk_compile(ast), thompson_compile(ast)
+    (walked, walked_states), (ref, ref_states) = walk_compile(ast), thompson_compile(ast)
     assert walked == ref == compile_ast(ast)
-    assert walked.state_count == ref.state_count
+    assert walked_states == ref_states
     for n in range(UPTO + 1):
         assert nfa_matches(ast, n) == thompson_matches(ast, n), n
 
 
-def walk_compile(ast, budget=MAX_WALK) -> regex.SemilinearMembership:
+def walk_compile(ast, budget=MAX_WALK) -> tuple[SemilinearMembership, int]:
     """The subset walk that compile_ast replaced, kept as the reference:
-    determinize the position automaton, then extract the minimal lasso.
-    Raises RegexSyntaxError if the stored frontiers would hold more than
-    budget positions in all."""
+    determinize the position automaton, then extract the minimal lasso and
+    the walk's number of states.  Raises RegexSyntaxError if the stored
+    frontiers would hold more than budget positions in all."""
     if isinstance(ast, Literal) and ast.count >= 0:
         k = ast.count
-        return regex.SemilinearMembership(k + 1, 1, frozenset((k,)), (False,), k + 2)
+        return SemilinearMembership(k + 1, 1, k, "10"), k + 2
     ends, end = regex._positions(ast)
     over = f"compiling would store more than {budget} positions"
     if max(ends) >= budget:  # each position shows up in some stored frontier
@@ -504,14 +531,13 @@ def held(ast) -> int:
 @example(ast=parse_regex("(a^5)*|(a^4)*|(a^3)*"))  # 12 positions, 180 held
 @settings(max_examples=200, deadline=None)
 def test_walk_budget_refuses_exactly_past_held_positions(ast):
-    need, ref = held(ast), thompson_compile(ast)
+    need, ref = held(ast), thompson_compile(ast)  # the lasso and the run's state count
     for budget in (0, 3, 40):
         if need > budget and not isinstance(ast, Literal):
             with pytest.raises(RegexSyntaxError):
                 walk_compile(ast, budget)
         else:
-            m = walk_compile(ast, budget)
-            assert m == ref and m.state_count == ref.state_count
+            assert walk_compile(ast, budget) == ref
 
 
 @pytest.mark.parametrize("budget", [0, 3, 40, MAX_WALK])
@@ -553,7 +579,7 @@ wide_asts = st.recursive(
 @settings(max_examples=120, deadline=None)
 def test_composition_agrees_with_walk_and_positions(ast, data):
     try:
-        walked = walk_compile(ast, 200000)  # a smaller budget, to keep walks short
+        walked = walk_compile(ast, 200000)[0]  # a smaller budget, to keep walks short
     except RegexSyntaxError:
         walked = None
     try:
@@ -563,7 +589,6 @@ def test_composition_agrees_with_walk_and_positions(ast, data):
     if walked is not None:  # the composition refuses no guard the walk takes
         assert m == walked
     if m is not None:
-        assert m.state_count == m.threshold + m.period
         edge = min(m.threshold + 2 * m.period, 4000)
         counts = {0, 1, min(m.threshold, edge), edge}
         if data is not None:
@@ -614,8 +639,20 @@ def test_composed_lassos_of_known_monoids():
     assert (m.threshold, m.period, m.state_count) == (700 * 701 - 700 - 701 + 1, 1, 489301)
     # a union is periodic with the lcm of the parts' periods
     assert compile_regex("(a^1000)*|(a^999)*").period == 999000
-    assert compile_regex("a^500000|a^500001").tail == frozenset((500000, 500001))
+    assert members(compile_regex("a^500000|a^500001")) == [500000, 500001]
     assert compile_regex("(a^300000)*").state_count == 300000
+
+
+@pytest.mark.parametrize("src", ["(a^999)*(a^1000)*", "(a^700|a^701)*"])
+def test_long_lasso_compiles_in_small_memory(src):
+    # windows of 997,003 and 489,301 counts: one character each, not one object
+    tracemalloc.start()
+    try:
+        compile_regex(src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def stored(ends) -> int:
@@ -641,7 +678,7 @@ def test_position_sets_stay_linear(src):
     ends = regex._positions(parse_regex(src))[0]
     assert len(ends) == 30000 + 1 and stored(ends) <= 6 * 30000  # a literal each, and the start
     m = compile_regex(src)
-    assert (m.threshold, m.period, m.tail, m.cycle, m.state_count) == (0, 1, frozenset(), (True,), 1)
+    assert m == SemilinearMembership(0, 1, 0, "1") and m.state_count == 1
 
 
 @pytest.mark.parametrize("src", ["(a*)*", "((a*)*)*", "(((a*)*)*)*"])
