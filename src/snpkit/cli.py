@@ -37,6 +37,10 @@ from .reachability import ReachabilityCertificate, is_reachable, reach_between
 __all__ = ["main"]
 
 FORMATS = ("text", "json")
+# the interpreter's cap on int-to-str digits (none before Python 3.10.7): _load lifts it
+# once the input is read, and main restores it
+_get_digits = getattr(_sys, "get_int_max_str_digits", lambda: 0)
+_set_digits = getattr(_sys, "set_int_max_str_digits", lambda limit: None)
 
 
 class UsageError(Exception):
@@ -86,7 +90,7 @@ def _check_flags(args: SimpleNamespace) -> None:
 def _load(path: str) -> SNPSystem:
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_system(fh.read())
+            sys = parse_system(fh.read())
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -95,6 +99,8 @@ def _load(path: str) -> SNPSystem:
         ) from exc
     except SystemParseError as exc:  # it carries the line number
         raise UsageError(f"{path}: {exc}") from exc
+    _set_digits(0)  # every count computed from the input prints exactly
+    return sys
 
 
 def _print_entries(path: str, problems: tuple[ReportEntry, ...], file=None) -> None:
@@ -423,6 +429,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _read_argv(argv)
     if args is None:
         args = _build_parser().parse_args(argv, SimpleNamespace())
+    limit = _get_digits()
     try:
         _check_flags(args)
         code = _COMMANDS[args.subcommand][0](args)
@@ -440,6 +447,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValidationFailure:
         return 1
+    finally:
+        _set_digits(limit)
 
 
 if __name__ == "__main__":

@@ -33,14 +33,13 @@ Two delay semantics are provided, selected by `mode`:
 In both modes the recorded status of step k gates deliveries at step k,
 and rule selection at step k uses the carry status entering k (a neuron
 closing at k in paper-trace mode may still have been selected at k).
-One function, `_advance`, holds both conventions: the formula step, the
-operational oracle and the comparisons in `formulas` that step (the identity
-checks and the trace replay of v2) take their recorded DSt, St, Iv and carried
-dst and st from it.  It walks only the delayed rules: an undelayed rule
-is never closed or queued, and fires as Iv = Sp.  Every trace and tree
-step is computed by C + St (*) (Iv . PM) - Sp . CM (_step): without delays
-the two modes coincide and it is the plain C(k+1) = C(k) + Sp(k) . M.  A
-trace records its steps; a tree keeps only each step's emission and successor.
+One function, `_advance`, holds both conventions: the formula step and the
+operational oracle take their recorded DSt, St, Iv and carried dst and st
+from it.  It walks only the delayed rules: an undelayed rule is never closed
+or queued, and fires as Iv = Sp.  Every step is computed by
+C + St (*) (Iv . PM) - Sp . CM (_step): without delays the two modes coincide
+and it is the plain C(k+1) = C(k) + Sp(k) . M.  run_trace and formula_step
+(which `formulas` reads) record a step; a tree keeps its emission and successor.
 """
 
 from __future__ import annotations
@@ -343,38 +342,28 @@ def _step_matrices(sys: SNPSystem):
 
 
 def _step(sys: SNPSystem, k: int, C, dst, Sp: tuple[int, ...], mode: str, matrices):
-    """Execute step k from (C, dst) by the receiver-gated formula; returns
-    its recorded Iv, St and DSt, its emission, and the config, dst and st
-    entering k + 1.  Without delays Iv = Sp and every neuron is open:
-    C + Sp . M."""
+    """Step k from (C, dst) by the receiver-gated formula, in three parts: what
+    it records, (Iv, St, DSt); its emission; the (config, dst, st) entering
+    k + 1.  Without delays Iv = Sp and every neuron is open: C + Sp . M."""
     PM, CM, env = matrices
     rec_dst, st_rec, iv, dst_next, st_next = _advance(sys, k, dst, Sp, mode)
     c_next = step_with_delay_v1(C, Sp, iv, st_rec, PM, CM)
     emitted = sum(e * iv[i] for i, e in env)
-    return iv, st_rec, rec_dst, emitted, c_next, dst_next, st_next
-
-
-def _record(k: int, C, Sp: tuple[int, ...], step) -> StepRecord:
-    """The record of step k from C by Sp, read off its _step result."""
-    iv, st, dst, emitted, c_next = step[:5]
-    return StepRecord(k, C, Sp, iv, st, dst, vec_sub(c_next, C), emitted)
+    return (iv, st_rec, rec_dst), emitted, (c_next, dst_next, st_next)
 
 
 def formula_step(
     sys: SNPSystem, state: SimState, Sp: tuple[int, ...], mode: str = "standard"
 ) -> tuple[StepRecord, SimState]:
-    """One formula-based step (record + next state) for external callers;
-    run_trace uses the same machinery with the matrices built once."""
+    """One formula-based step: its record and the state entering k + 1, as
+    run_trace takes it with the matrices built once.  `formulas` reads it."""
     _check_mode(mode)
     k, C = state.k, state.config
-    step = _step(sys, k, C, state.dst, Sp, mode, _step_matrices(sys))
-    return _record(k, C, Sp, step), _state(sys, k + 1, *step[4:], mode)
-
-
-def _terminal_record(sys: SNPSystem, k: int, config, dst, st) -> StepRecord:
-    """The record of the state entering K: nothing fires, so nothing changes."""
-    zero = (0,) * sys.rule_count
-    return _record(k, config, zero, (zero, st, dst, 0, config))
+    (iv, st, dst), emitted, (c_next, dst_next, st_next) = _step(
+        sys, k, C, state.dst, Sp, mode, _step_matrices(sys)
+    )
+    record = StepRecord(k, C, Sp, iv, st, dst, vec_sub(c_next, C), emitted)
+    return record, _state(sys, k + 1, c_next, dst_next, st_next, mode)
 
 
 def _is_halted(st: tuple[int, ...], choices: list[tuple[int, ...]]) -> bool:
@@ -429,11 +418,12 @@ def run_trace(
             sp = rng.choice(table_vectors(sys, table))
         else:  # every entry's head; an empty table idles while delays count down
             sp = spiking_vector(sys, (rules[0] for rules in table))
-        step = _step(sys, k, config, dst, sp, mode, mats)
-        records.append(_record(k, config, sp, step))
-        config, dst, st = step[4:]
+        (iv, st_k, dst_k), emitted, (c_next, dst, st) = _step(sys, k, config, dst, sp, mode, mats)
+        records.append(StepRecord(k, config, sp, iv, st_k, dst_k, vec_sub(c_next, config), emitted))
+        config = c_next
         k += 1
-    records.append(_terminal_record(sys, k, config, dst, st))
+    zero = (0,) * sys.rule_count  # the state entering K: nothing fires, nothing changes
+    records.append(StepRecord(k, config, zero, zero, st, dst, (0,) * sys.neuron_count, 0))
     return Trace(
         mode=mode,
         records=tuple(records),
@@ -497,7 +487,7 @@ def _run_tree(sys: SNPSystem, depth: int, mode: str) -> TraceTree:
                 made = [] if _is_halted(node.state.st, sps) else [
                     _step(sys, k, config, dst, sp, mode, mats) for sp in sps or idle
                 ]
-                out = edges[key] = [(e, (c, d, False), s) for *_rec, e, c, d, s in made]
+                out = edges[key] = [(e, (c, d, False), s) for _rec, e, (c, d, s) in made]
             for emitted, nkey, nst in out:
                 child = below.get(nkey)
                 if child is None:

@@ -1,5 +1,5 @@
 """The paper's formula comparisons, reported and never asserted: the 2017
-status-masked readings against the receiver-gated step_with_delay_v1.
+status-masked readings against the receiver-gated step of formula_step.
 
 No CLI path imports this module.  Each comparison returns a tuple of
 plain entries holding the values it compares; the reader compares them.
@@ -15,10 +15,9 @@ cancels).
 from __future__ import annotations
 
 from .engine import (
-    SimState, Trace, _advance, enumerate_spiking_vectors, operational_step,
-    step_with_delay_v1,
+    SimState, Trace, enumerate_spiking_vectors, formula_step, initial_state, operational_step,
 )
-from .matrices import IntMatrix, consumption_matrix, hadamard, production_matrix, spiking_matrix
+from .matrices import IntMatrix, hadamard, spiking_matrix
 from .model import Record, SNPSystem
 
 __all__ = [
@@ -81,25 +80,24 @@ def check_step_identities(
     the next step itself fires a delayed rule and closures are recorded
     at firing time); formula_comparison_report covers that reading
     along a recorded trace."""
-    M, PM, CM = spiking_matrix(sys), production_matrix(sys), consumption_matrix(sys)
+    M = spiking_matrix(sys)
     entries = []
     for sp in enumerate_spiking_vectors(sys, state.config, state.st):
-        _dst, st_rec, iv, _carry, st_next = _advance(sys, state.k, state.dst, sp, mode)
-        rst = rule_status(sys, st_rec)
-        lhs = hadamard(st_rec, M.vecmat(iv))
-        rhs = M.vecmat(hadamard(rst, iv))
-        v1 = step_with_delay_v1(state.config, sp, iv, st_rec, PM, CM)
-        v2 = step_with_delay_v2(state.config, iv, st_next, M)
+        record, v1 = formula_step(sys, state, sp, mode)  # v1 is the state entering k+1
+        rst = rule_status(sys, record.St)
+        lhs = hadamard(record.St, M.vecmat(record.Iv))
+        rhs = M.vecmat(hadamard(rst, record.Iv))
+        v2 = step_with_delay_v2(state.config, record.Iv, v1.st, M)
         oracle = operational_step(sys, state, sp, mode).config
         entries.append(
             StepIdentityEntry(
                 Sp=sp,
-                Iv=iv,
-                St=st_rec,
+                Iv=record.Iv,
+                St=record.St,
                 RSt=rst,
                 lhs=lhs,
                 rhs=rhs,
-                v1_config=v1,
+                v1_config=v1.config,
                 v2_config=v2,
                 oracle_config=oracle,
             )
@@ -123,18 +121,19 @@ def formula_comparison_report(
     under both readings of "status at k+1", next to the recorded next
     configuration.  The readings split exactly at steps whose successor
     fires a delayed rule; the report states the split instead of leaning
-    on either side."""
+    on either side.  formula_step replays the carry status from the initial
+    state, so a trace the system cannot produce may raise its ValueError."""
     M = spiking_matrix(sys)
     out = []
     records = trace.records
-    dst = (0,) * sys.rule_count  # replays the trace's delay bookkeeping from k = 0
+    state = initial_state(sys)
     for rec, nxt in zip(records, records[1:]):
-        *_, dst, st = _advance(sys, rec.k, dst, rec.Sp, trace.mode)
+        state = formula_step(sys, state, rec.Sp, trace.mode)[1]
         out.append(
             FormulaComparison(
                 k=rec.k,
                 actual_next=nxt.C,
-                v2_carry=step_with_delay_v2(rec.C, rec.Iv, st, M),
+                v2_carry=step_with_delay_v2(rec.C, rec.Iv, state.st, M),
                 v2_recorded=step_with_delay_v2(rec.C, rec.Iv, nxt.St, M),
             )
         )

@@ -50,7 +50,6 @@ def test_shipped_schemas_are_well_formed():
     assert names == [
         "certificate.schema",
         "matrices.schema",
-        "matrix.schema",
         "structural-report.schema",
         "trace-record.schema",
         "tree-summary.schema",
@@ -170,8 +169,13 @@ def test_non_utf8_file_exit_2_without_traceback(capsys, tmp_path):
             "line 2: c, p and d have too many digits",
         ),
         (None, ["reach", "--target", "²,0,0"], "--target wants"),
+        (f"neuron a spikes={'9' * 4301}\n", ["validate"], "line 1: spikes must be"),
+        (None, ["reach", "--target", f"{'9' * 4301},0,0"], "--target wants"),
     ],
-    ids=["superscript-spikes", "superscript-guard", "long-c", "superscript-target"],
+    ids=[
+        "superscript-spikes", "superscript-guard", "long-c", "superscript-target",
+        "long-spikes", "long-target",
+    ],
 )
 def test_numbers_int_refuses_exit_2_without_traceback(
     capsys, tmp_path, text, argv, message
@@ -187,6 +191,40 @@ def test_numbers_int_refuses_exit_2_without_traceback(
     assert len(err.splitlines()) == 1
     assert err.startswith("snpkit: error:") and message in err
     assert "Traceback" not in err
+
+
+CAPPED = f"neuron a spikes={'9' * 4300}\nneuron b spikes=1\nrule b E=a c=1 p=1 d=0\nsyn b a\n"
+GROWN = "1" + "0" * 4300  # one delivered spike past the 4,300-digit int-to-str cap
+
+
+@pytest.mark.parametrize(
+    "extra, line",
+    [
+        ([], f"k=1 C=({GROWN}, 0) Sp=(0,) Iv=(0,) St=(1, 1) DSt=(0,) NG=(0, 0) emitted=0"),
+        (["--format", "json"], f'{{"k": 1, "C": [{GROWN}, 0], "Sp": [0], "Iv": [0], '
+                               '"St": [1, 1], "DSt": [0], "NG": [0, 0], "emitted": 0}'),
+        (["--policy", "exhaustive"], f"final configs: ({GROWN}, 0)"),
+    ],
+    ids=["text", "json", "exhaustive"],
+)
+def test_counts_past_the_digit_cap_print_exactly(capsys, tmp_path, extra, line):
+    """A file may declare a 4,300-digit count, the most the interpreter turns
+    into a string; the counts computed from it print exactly, and main puts
+    the cap back as it found it."""
+    path = tmp_path / "capped.snp"
+    path.write_text(CAPPED, encoding="utf-8")
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)  # Python 3.10.7 and later
+    before = cap()
+    code, out, err = run_cli(capsys, "simulate", str(path), "--steps", "2", *extra)
+    assert (code, err) == (0, "")
+    assert line in out.splitlines()
+    assert cap() == before
+    proc = subprocess.run(
+        [sys.executable, "-m", "snpkit.cli", "simulate", str(path), "--steps", "2", *extra],
+        capture_output=True, text=True, cwd=str(REPO_ROOT),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+    assert "Traceback" not in proc.stderr
 
 
 def test_invalid_system_blocks_other_commands(capsys, tmp_path):

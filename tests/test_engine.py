@@ -23,7 +23,6 @@ from snpkit.engine import (
     TraceTree,
     TreeNode,
     _advance,
-    _terminal_record,
     achievable_first_intervals,
     choice_table,
     enumerate_spiking_vectors,
@@ -37,6 +36,8 @@ from snpkit.engine import (
     step_with_delay_v1,
 )
 from snpkit.formulas import (
+    FormulaComparison,
+    StepIdentityEntry,
     check_step_identities,
     formula_comparison_report,
     rule_status,
@@ -211,7 +212,10 @@ def test_memoized_trace_matches_listing_loop(seed, steps, mode, policy):
     walk = random.Random(seed) if policy == "random" else None
     records, state, halted = _trace_by_listing(sys, steps, mode, walk)
     assert trace.records[:-1] == records
-    assert trace.records[-1] == _terminal_record(sys, state.k, state.config, state.dst, state.st)
+    zero = (0,) * sys.rule_count
+    assert trace.records[-1] == StepRecord(
+        state.k, state.config, zero, zero, state.st, state.dst, (0,) * sys.neuron_count, 0
+    )
     assert trace.halted == halted
 
 
@@ -550,6 +554,68 @@ def test_v2_status_reading_splits_on_lookahead_closure(example3):
     bad = report[3]
     assert bad.v2_recorded == (1, 0, 0)
     assert bad.actual_next == (1, 0, 1)
+
+
+def _identities_by_advance(sys, state, mode):
+    """check_step_identities as it derived the step itself, kept as a test
+    reference: _advance, then step_with_delay_v1 over PM and CM."""
+    M, PM, CM = spiking_matrix(sys), production_matrix(sys), consumption_matrix(sys)
+    entries = []
+    for sp in enumerate_spiking_vectors(sys, state.config, state.st):
+        _dst, st_rec, iv, _carry, st_next = _advance(sys, state.k, state.dst, sp, mode)
+        rst = rule_status(sys, st_rec)
+        entries.append(StepIdentityEntry(
+            Sp=sp,
+            Iv=iv,
+            St=st_rec,
+            RSt=rst,
+            lhs=hadamard(st_rec, M.vecmat(iv)),
+            rhs=M.vecmat(hadamard(rst, iv)),
+            v1_config=step_with_delay_v1(state.config, sp, iv, st_rec, PM, CM),
+            v2_config=step_with_delay_v2(state.config, iv, st_next, M),
+            oracle_config=operational_step(sys, state, sp, mode).config,
+        ))
+    return tuple(entries)
+
+
+def _comparisons_by_advance(sys, trace):
+    """formula_comparison_report as it replayed only the delay bookkeeping,
+    by _advance from k = 0, kept as a test reference."""
+    M = spiking_matrix(sys)
+    out = []
+    dst = (0,) * sys.rule_count
+    for rec, nxt in zip(trace.records, trace.records[1:]):
+        *_, dst, st = _advance(sys, rec.k, dst, rec.Sp, trace.mode)
+        out.append(FormulaComparison(
+            k=rec.k,
+            actual_next=nxt.C,
+            v2_carry=step_with_delay_v2(rec.C, rec.Iv, st, M),
+            v2_recorded=step_with_delay_v2(rec.C, rec.Iv, nxt.St, M),
+        ))
+    return tuple(out)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    steps=st.integers(min_value=0, max_value=10),
+    mode=st.sampled_from(MODES),
+    policy=st.sampled_from(("first", "random")),
+)
+@settings(max_examples=150, deadline=None)
+def test_formula_comparisons_read_formula_step_as_advance_derived(seed, steps, mode, policy):
+    """The comparisons read the step from formula_step; on delayed systems,
+    at every state along a trace (stepped by the oracle) and over the whole
+    trace, they equal the derivation from _advance that they replaced."""
+    sys = make_random_system(
+        random.Random(seed), max_neurons=4, max_rules=8, allow_delay=True
+    )
+    assume(sys.delayed_rules)
+    trace = run_trace(sys, steps, policy=policy, mode=mode, seed=seed)
+    assert formula_comparison_report(sys, trace) == _comparisons_by_advance(sys, trace)
+    state = initial_state(sys)
+    for rec in trace.records:
+        assert check_step_identities(sys, state, mode) == _identities_by_advance(sys, state, mode)
+        state = operational_step(sys, state, rec.Sp, mode)
 
 
 # --- exhaustive exploration -----------------------------------------------------------
